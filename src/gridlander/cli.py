@@ -253,6 +253,8 @@ def _cmd_oracle(args, cfg: AppConfig) -> int:
     gamma = args.gamma if args.gamma is not None else cfg.train.gamma
     if not 0.0 <= gamma <= 1.0:
         raise ContractViolation("gamma must lie in [0,1]")
+    if args.ql_steps < 1:
+        raise ContractViolation("--ql-steps must be positive")
     mdp = enumerate_mdp(env_cfg)
     solution = tabular.value_iteration(mdp, gamma)
     success = tabular.success_rate_from_all_starts(mdp, solution.policy)

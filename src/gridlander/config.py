@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -27,8 +28,6 @@ ENV_VAR = "GRIDLANDER_CONFIG"
 
 _SECTIONS = ("env", "train", "camera", "detector", "ppm_channel_order")
 
-_TUPLE_KEYS = {"x_range", "y_range", "z_range", "k_weights", "stem_channels", "center"}
-
 
 @dataclass
 class AppConfig:
@@ -39,16 +38,35 @@ class AppConfig:
     channel_order: tuple[str, ...] = DEFAULT_CHANNEL_ORDER
 
 
-def _build(dc_type, section: dict, where: str):
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits an annotated field type: numbers are never
+    bools or strings, an int field takes only ints and a float field ints or
+    floats, and a tuple field takes a list of its length."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return value is None or _fits(value, args[0])
+    if typing.get_origin(hint) is tuple:
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(args)
+            and all(map(_fits, value, args))
+        )
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build(dc_type, section, where: str):
+    if not isinstance(section, dict):
+        raise ContractViolation(f"config section {where} must be a JSON object")
     known = {f.name for f in fields(dc_type)}
     unknown = set(section) - known
     if unknown:
         raise ContractViolation(f"unknown {where} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(dc_type)
     kwargs = {}
     for key, value in section.items():
-        if key in _TUPLE_KEYS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        if not _fits(value, hints[key]):
+            raise ContractViolation(f"{where}.{key} has the wrong type: {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     return dc_type(**kwargs)
 
 

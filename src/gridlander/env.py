@@ -284,17 +284,19 @@ class LandingEnv:
 class MdpTable:
     """Exhaustive deterministic model of the windless grid MDP.
 
-    ``states`` lists every grid cell; transitions exist for the
-    non-terminal (dz > 0) subset, indexed by ``nonterminal_indices``.
+    ``states`` lists every grid cell in (z, x, y) scan order, so the
+    non-terminal (dz > 0) cells follow the ground layer contiguously. They
+    are the rows of the (n, 5) transition arrays, in the same order.
     """
 
     config: EnvConfig
+    shape: tuple[int, int, int]  # cells along (z, x, y)
     states: np.ndarray  # (total, 3) every grid state incl. dz = 0
     nonterminal_indices: np.ndarray  # (n,) indices into states
     next_index: np.ndarray  # (n, 5) index into states of the successor
+    next_row: np.ndarray  # (n, 5) row of the successor; -1 when it ends the episode
     rewards: np.ndarray  # (n, 5)
-    next_is_terminal: np.ndarray  # (n, 5) bool: successor ends the episode
-    index_of: dict  # state tuple -> row in states
+    landed: np.ndarray  # (n, 5) bool: the successor is a LANDED_SUCCESS
 
     @property
     def n_states(self) -> int:
@@ -304,50 +306,116 @@ class MdpTable:
     def n_nonterminal(self) -> int:
         return len(self.nonterminal_indices)
 
+    @property
+    def next_is_terminal(self) -> np.ndarray:
+        """(n, 5) bool: the successor ends the episode."""
+        return self.next_row < 0
+
     def state(self, idx: int) -> LanderState:
         return LanderState(*map(float, self.states[idx]))
 
     def row_of(self, state: LanderState) -> int:
-        """Row in the transition arrays for a non-terminal state."""
-        return int(self._row_lookup[self.index_of[tuple(state)]])
-
-    def __post_init__(self) -> None:
-        self._row_lookup = {}
-        for row, si in enumerate(self.nonterminal_indices):
-            self._row_lookup[int(si)] = row
+        """Row in the transition arrays for a non-terminal grid state."""
+        nz, nx, ny = self.shape
+        c = self.config
+        iz, ix, iy = (
+            round((v - lo) / c.resolution)
+            for v, lo in ((state.dz, 0.0), (state.dx, c.x_range[0]), (state.dy, c.y_range[0]))
+        )
+        idx = (iz * nx + ix) * ny + iy
+        in_range = 1 <= iz < nz and 0 <= ix < nx and 0 <= iy < ny
+        if not in_range or tuple(self.states[idx]) != tuple(state):
+            raise ContractViolation(f"{state} is not a non-terminal grid cell")
+        return idx - nx * ny
 
 
 def enumerate_mdp(config: EnvConfig) -> MdpTable:
-    """Tabulate (state, action) -> (next, reward, terminal); wind must be off."""
+    """Tabulate (state, action) -> (next, reward, terminal); wind must be off.
+
+    Computes every successor with the arithmetic of ``transition`` and
+    ``reward``, one action at a time over all non-terminal cells. Every
+    successor must be a grid cell, so the ranges must be whole cells of
+    ``resolution``.
+    """
     if config.wind_probability > 0.0:
         raise ContractViolation("enumerate_mdp requires wind disabled")
     xs, ys, zs = (config.axis_values(a) for a in ("x", "y", "z"))
-    states = []
-    for z in zs:
-        for x in xs:
-            for y in ys:
-                states.append((float(x), float(y), float(z)))
-    index_of = {s: i for i, s in enumerate(states)}
-    states_arr = np.array(states, dtype=np.float64)
+    shape = (len(zs), len(xs), len(ys))
+    plane = len(xs) * len(ys)
+    grid_z, grid_x, grid_y = np.meshgrid(zs, xs, ys, indexing="ij")
+    states = np.stack([grid_x.ravel(), grid_y.ravel(), grid_z.ravel()], axis=1)
+    nonterminal = np.arange(plane, len(states))
+    if len(nonterminal) == 0:
+        raise ContractViolation("the grid has no state above ground level")
+    # math.hypot, as LanderState.horizontal_distance uses, per (x, y) column
+    dist = np.array([math.hypot(x, y) for x in xs.tolist() for y in ys.tolist()])
+    sx, sy, sz = states[nonterminal].T
+    s_inside = dist[nonterminal % plane] <= config.landing_zone_radius
+    kx, ky, kz = config.k_weights
+    r = config.resolution
+    (x_lo, x_hi), (y_lo, y_hi) = config.x_range, config.y_range
 
-    nonterminal = [i for i, s in enumerate(states) if s[2] > 0.0]
-    n = len(nonterminal)
-    next_index = np.zeros((n, 5), dtype=np.int64)
-    rewards = np.zeros((n, 5), dtype=np.float64)
-    next_terminal = np.zeros((n, 5), dtype=bool)
-    for row, si in enumerate(nonterminal):
-        s = LanderState(*states[si])
-        for a in Action:
-            out = transition(s, a, config)
-            next_index[row, a.value] = index_of[tuple(out.next)]
-            rewards[row, a.value] = out.reward
-            next_terminal[row, a.value] = out.terminal is not Terminal.NONE
+    def approach(x, y, z):
+        return -100.0 * np.sqrt(kx * x * x + ky * y * y + kz * z * z)
+
+    def altitude(z):
+        return -100.0 * np.sqrt(kz * z * z)
+
+    columns = []
+    for a in Action:
+        ddx, ddy, ddz = _ACTION_DELTAS[a]
+        x = sx + ddx * r
+        y = sy + ddy * r
+        z = sz + ddz * r
+        out_of_bounds = ~((x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi))
+        x = np.minimum(np.maximum(x, x_lo), x_hi)
+        y = np.minimum(np.maximum(y, y_lo), y_hi)
+        z = np.minimum(np.maximum(z, 0.0), config.z_range[1])
+        cell = _cell_index(x, y, z, xs, ys, zs, r)
+        if (cell < 0).any():
+            bad = int(np.argmax(cell < 0))
+            raise ContractViolation(
+                f"successor {(float(x[bad]), float(y[bad]), float(z[bad]))} is not a grid"
+                f" cell; the ranges must be whole cells of resolution {r}"
+            )
+        n_dist = dist[cell % plane]
+        n_inside = n_dist <= config.landing_zone_radius
+        touchdown = z <= 0.0
+        rew = np.where(
+            touchdown,
+            np.where(n_inside, 400.0, -200.0 * n_dist),
+            np.where(
+                s_inside & n_inside,
+                altitude(z) - altitude(sz),
+                approach(x, y, z) - approach(sx, sy, sz),
+            ),
+        )
+        terminal = touchdown
+        if config.boundary_mode == "crash":
+            rew = np.where(out_of_bounds, -200.0 * n_dist, rew)
+            terminal = touchdown | out_of_bounds
+            touchdown = touchdown & ~out_of_bounds
+        columns.append((cell, np.where(terminal, -1, cell - plane), rew, touchdown & n_inside))
+    next_index, next_row, rewards, landed = (np.stack(c, axis=1) for c in zip(*columns))
     return MdpTable(
         config=config,
-        states=states_arr,
-        nonterminal_indices=np.array(nonterminal, dtype=np.int64),
+        shape=shape,
+        states=states,
+        nonterminal_indices=nonterminal,
         next_index=next_index,
+        next_row=next_row,
         rewards=rewards,
-        next_is_terminal=next_terminal,
-        index_of=index_of,
+        landed=landed,
     )
+
+
+def _cell_index(x, y, z, xs, ys, zs, resolution: float) -> np.ndarray:
+    """Index into the (z, x, y)-ordered states of each point (x, y, z);
+    -1 where the point is not exactly a grid cell."""
+    flat = np.zeros(len(x), dtype=np.int64)
+    on_grid = np.ones(len(x), dtype=bool)
+    for v, axis in ((z, zs), (x, xs), (y, ys)):
+        i = np.clip(np.rint((v - axis[0]) / resolution), 0, len(axis) - 1).astype(np.int64)
+        flat = flat * len(axis) + i
+        on_grid &= axis[i] == v
+    return np.where(on_grid, flat, -1)

@@ -5,6 +5,12 @@ learned agent. A tabular Q-learning pass applies the classic one-step
 update Q <- (1-a) Q + a (r + g max Q') over deterministic exhaustive
 sweeps; states are ordered by (altitude, horizontal distance) so value
 information propagates backward from the pad within few sweeps.
+
+Every solver reads the table's successor rows directly. The all-starts
+success rate steps every eligible start at once on the table, under the
+terminal rules of ``policy_rollout``, which follows one start on the live
+``transition`` dynamics and is the reference the table rollout is tested
+against.
 """
 
 from __future__ import annotations
@@ -26,14 +32,9 @@ class TabularSolution:
 
 def value_iteration(mdp: MdpTable, gamma: float, tol: float = 1e-9, max_sweeps: int = 200000):
     """Sweep Bellman optimality backups until the sup-norm residual < tol."""
-    n = mdp.n_nonterminal
-    cont = ~mdp.next_is_terminal
-    next_rows = np.zeros_like(mdp.next_index)
-    for i in range(n):
-        for a in range(5):
-            if cont[i, a]:
-                next_rows[i, a] = mdp._row_lookup[int(mdp.next_index[i, a])]
-    values = np.zeros(n, dtype=np.float64)
+    next_rows = mdp.next_row
+    cont = next_rows >= 0
+    values = np.zeros(mdp.n_nonterminal, dtype=np.float64)
     sweeps = 0
     while sweeps < max_sweeps:
         q = mdp.rewards + gamma * np.where(cont, values[next_rows], 0.0)
@@ -55,13 +56,8 @@ def policy_evaluation(
     n = mdp.n_nonterminal
     rows = np.arange(n)
     r_pi = mdp.rewards[rows, policy]
-    cont_pi = ~mdp.next_is_terminal[rows, policy]
-    next_pi = np.array(
-        [
-            mdp._row_lookup[int(mdp.next_index[i, policy[i]])] if cont_pi[i] else 0
-            for i in range(n)
-        ]
-    )
+    next_pi = mdp.next_row[rows, policy]
+    cont_pi = next_pi >= 0
     values = np.zeros(n, dtype=np.float64)
     for _ in range(max_sweeps):
         new_values = r_pi + gamma * np.where(cont_pi, values[next_pi], 0.0)
@@ -79,33 +75,23 @@ def q_learning(mdp: MdpTable, gamma: float, alpha: float = 0.1, steps: int = 100
     pairs, ordered near-to-pad first so each sweep behaves like a damped
     Gauss-Seidel backup.
     """
-    n = mdp.n_nonterminal
-    order = sorted(
-        range(n),
-        key=lambda i: (
-            mdp.states[mdp.nonterminal_indices[i]][2],
-            abs(mdp.states[mdp.nonterminal_indices[i]][0])
-            + abs(mdp.states[mdp.nonterminal_indices[i]][1]),
-            mdp.states[mdp.nonterminal_indices[i]][0],
-            mdp.states[mdp.nonterminal_indices[i]][1],
-        ),
-    )
-    row_lookup = mdp._row_lookup
-    q = np.zeros((n, 5), dtype=np.float64)
+    x, y, z = mdp.states[mdp.nonterminal_indices].T
+    order = np.lexsort((y, x, np.abs(x) + np.abs(y), z)).tolist()
+    q = [[0.0] * 5 for _ in order]
     done = 0
-    while done < steps:
+    while done < steps and order:
         for i in order:
+            q_i = q[i]
+            rewards = mdp.rewards[i].tolist()
+            next_rows = mdp.next_row[i].tolist()
             for a in range(5):
-                r = mdp.rewards[i, a]
-                if mdp.next_is_terminal[i, a]:
-                    target = r
-                else:
-                    target = r + gamma * q[row_lookup[int(mdp.next_index[i, a])]].max()
-                q[i, a] = (1.0 - alpha) * q[i, a] + alpha * target
+                j = next_rows[a]
+                target = rewards[a] if j < 0 else rewards[a] + gamma * max(q[j])
+                q_i[a] = (1.0 - alpha) * q_i[a] + alpha * target
                 done += 1
                 if done >= steps:
-                    return q
-    return q
+                    return np.array(q, dtype=np.float64).reshape(-1, 5)
+    return np.array(q, dtype=np.float64).reshape(-1, 5)
 
 
 def greedy_agreement(q_learned: np.ndarray, q_optimal: np.ndarray, tol: float = 1e-9) -> float:
@@ -148,15 +134,19 @@ def policy_rollout(
 def success_rate_from_all_starts(
     mdp: MdpTable, policy: np.ndarray, min_altitude: float = 2.0
 ) -> float:
-    """Fraction of eligible start cells the policy lands successfully from."""
+    """Fraction of eligible start cells the policy lands successfully from.
+
+    Every start takes at most ``max_steps`` steps on the table, as in
+    ``policy_rollout``; only a LANDED_SUCCESS successor counts.
+    """
+    rows = np.flatnonzero(mdp.states[mdp.nonterminal_indices, 2] >= min_altitude - 1e-9)
+    total = len(rows)
     successes = 0
-    total = 0
-    for idx in mdp.nonterminal_indices:
-        s = mdp.state(int(idx))
-        if s.dz < min_altitude - 1e-9:
-            continue
-        total += 1
-        _, _, terminal = policy_rollout(mdp, policy, s, mdp.config.max_steps)
-        if terminal is Terminal.LANDED_SUCCESS:
-            successes += 1
+    for _ in range(mdp.config.max_steps):
+        actions = policy[rows]
+        successes += int(mdp.landed[rows, actions].sum())
+        rows = mdp.next_row[rows, actions]
+        rows = rows[rows >= 0]
+        if len(rows) == 0:
+            break
     return successes / total if total else 0.0

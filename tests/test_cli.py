@@ -318,6 +318,51 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert "enviroment" in err
 
 
+def _assert_one_line_usage_error(code, stdout, err):
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"resolution": 0.3}, {"x_range": [-6.5, 6.0]}, {"z_range": [0.0, 0.5]}, {"z_range": [0.0, 0.0]}],
+)
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
+def test_oracle_rejects_grids_without_whole_cells(tmp_path, capsys, env, command):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"env": env}))
+    _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), *command))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"env": {"x_range": 5}},
+        {"env": {"k_weights": [1.0, 1.0]}},
+        {"env": {"max_steps": True}},
+        {"env": {"boundary_mode": None}},
+        {"train": {"gamma": "0.9"}},
+        {"train": {"episodes": "3"}},
+        {"detector": {"heads": None}},
+        {"camera": {"center": [1.0, "2"]}},
+        {"env": []},
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    code, stdout, err = run(capsys, "--config", str(cfg), "oracle")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert list(raw)[0] in err
+
+
+@pytest.mark.parametrize("steps", ["-3", "0"])
+def test_oracle_rejects_non_positive_ql_steps(capsys, steps):
+    _assert_one_line_usage_error(*run(capsys, "oracle", "--ql-steps", steps))
+
+
 def test_config_env_var_fallback(tmp_path, capsys, monkeypatch, small_config):
     monkeypatch.setenv("GRIDLANDER_CONFIG", small_config)
     code, stdout, _ = run(capsys, "oracle", "--ql-steps", "1000")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from gridlander.rng import Rng
 from gridlander.tabular import (
     greedy_agreement,
     policy_evaluation,
+    policy_rollout,
     q_learning,
     success_rate_from_all_starts,
     value_iteration,
@@ -341,6 +344,43 @@ def test_q_learning_converges_toward_optimal_policy(mdp):
     assert success_rate_from_all_starts(mdp, vi90.policy) == 1.0
     q = q_learning(mdp, gamma=0.9, alpha=0.1, steps=100_000)
     assert greedy_agreement(q, vi90.q) >= 0.95
+
+
+def test_oracle_tables_match_recorded_digests(mdp):
+    # SHA-256 digests recorded from the per-cell loop implementation of the
+    # table and the solvers; any change in arithmetic or sweep order shows
+    digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+    vi90 = value_iteration(mdp, gamma=0.9)
+    assert digest(vi90.q) == "8a3505c3781807cdaa0c73bbc3185dcf947da189080e0745b35918a8ddaa5780"
+    q = q_learning(mdp, gamma=0.9, alpha=0.1, steps=100_000)
+    assert digest(q) == "dbd840a9e69910b0086e47956dd426e72677eff182b32048e3a745d15307cfee"
+
+
+@pytest.mark.parametrize("boundary_mode", ["clamp", "crash"])
+def test_table_rollout_matches_live_rollouts(boundary_mode):
+    cfg = EnvConfig(
+        x_range=(-3.0, 3.0), y_range=(-3.0, 3.0), z_range=(0.0, 5.0),
+        max_steps=8, boundary_mode=boundary_mode,
+    )
+    mdp = enumerate_mdp(cfg)
+    rng = Rng(5)
+    random_policy = np.array([int(rng.integers(5)) for _ in range(mdp.n_nonterminal)])
+    seen = set()
+    for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
+        for min_altitude in (1.0, 2.0):
+            starts = [mdp.state(int(i)) for i in mdp.nonterminal_indices]
+            kinds = [
+                policy_rollout(mdp, policy, s, cfg.max_steps)[2]
+                for s in starts
+                if s.dz >= min_altitude
+            ]
+            seen.update(kinds)
+            expected = kinds.count(Terminal.LANDED_SUCCESS) / len(kinds)
+            assert success_rate_from_all_starts(mdp, policy, min_altitude) == expected
+    expected_kinds = {Terminal.LANDED_SUCCESS, Terminal.LANDED_OUTSIDE, Terminal.MAX_STEPS}
+    if boundary_mode == "crash":
+        expected_kinds.add(Terminal.OUT_OF_BOUNDS)
+    assert expected_kinds <= seen
 
 
 def test_greedy_agreement_counts_ties_as_agreement():

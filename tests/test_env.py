@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlander.env import (
     Action,
@@ -21,6 +24,7 @@ from gridlander.env import (
 )
 from gridlander.errors import ContractViolation
 from gridlander.rng import Rng
+from gridlander.tabular import q_learning
 
 CFG = EnvConfig()
 
@@ -344,6 +348,79 @@ def test_enumerate_mdp_spot_checks_live_step():
 def test_enumerate_mdp_rejects_wind():
     with pytest.raises(ContractViolation):
         enumerate_mdp(EnvConfig(wind_probability=0.1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half_x=st.integers(1, 5),
+    half_y=st.integers(1, 5),
+    height=st.integers(1, 6),
+    resolution=st.sampled_from([0.5, 1.0]),
+    k_weights=st.tuples(*[st.floats(0.0, 3.0)] * 3),
+    radius=st.floats(0.0, 3.0),
+    boundary_mode=st.sampled_from(["clamp", "crash"]),
+)
+def test_enumerate_mdp_matches_per_cell_transition(
+    half_x, half_y, height, resolution, k_weights, radius, boundary_mode
+):
+    cfg = EnvConfig(
+        x_range=(-half_x * resolution, half_x * resolution),
+        y_range=(-half_y * resolution, half_y * resolution),
+        z_range=(0.0, height * resolution),
+        resolution=resolution,
+        landing_zone_radius=radius,
+        k_weights=k_weights,
+        boundary_mode=boundary_mode,
+    )
+    mdp = enumerate_mdp(cfg)
+    scan = [
+        (float(x), float(y), float(z))
+        for z in cfg.axis_values("z")
+        for x in cfg.axis_values("x")
+        for y in cfg.axis_values("y")
+    ]
+    assert [tuple(s) for s in mdp.states.tolist()] == scan
+    index_of = {s: i for i, s in enumerate(scan)}
+    assert mdp.nonterminal_indices.tolist() == [i for i, s in enumerate(scan) if s[2] > 0.0]
+    for row, si in enumerate(mdp.nonterminal_indices):
+        state = mdp.state(int(si))
+        assert mdp.row_of(state) == row
+        for a in Action:
+            out = transition(state, a, cfg)
+            assert mdp.next_index[row, a] == index_of[tuple(out.next)]
+            assert mdp.rewards[row, a].tobytes() == np.float64(out.reward).tobytes()
+            assert mdp.landed[row, a] == (out.terminal is Terminal.LANDED_SUCCESS)
+            if out.terminal is Terminal.NONE:
+                assert mdp.next_row[row, a] == mdp.row_of(out.next)
+            else:
+                assert mdp.next_row[row, a] == -1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EnvConfig(resolution=0.3),
+        EnvConfig(x_range=(-6.5, 6.0)),
+        EnvConfig(z_range=(0.0, 0.5)),
+        EnvConfig(z_range=(0.0, 0.0)),
+    ],
+)
+def test_enumerate_mdp_rejects_grids_without_whole_cells(cfg):
+    with pytest.raises(ContractViolation):
+        enumerate_mdp(cfg)
+
+
+def test_row_of_rejects_terminal_and_off_grid_states():
+    mdp = enumerate_mdp(CFG)
+    for state in (LanderState(0.0, 0.0, 0.0), LanderState(0.5, 0.0, 1.0), LanderState(7.0, 0.0, 1.0)):
+        with pytest.raises(ContractViolation):
+            mdp.row_of(state)
+
+
+def test_q_learning_returns_on_an_empty_table():
+    mdp = enumerate_mdp(CFG)
+    empty = replace(mdp, nonterminal_indices=mdp.nonterminal_indices[:0])
+    assert q_learning(empty, gamma=0.9, steps=10).shape == (0, 5)
 
 
 def test_grid_closure_random_walk():
