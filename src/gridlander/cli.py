@@ -9,6 +9,7 @@ provides the config path when --config is absent. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dqn, metrics, perturb, persistence, plots, tabular
-from .config import AppConfig, load_config
-from .env import enumerate_mdp
+from .config import AppConfig, build_section, load_config
+from .env import EnvConfig, enumerate_mdp
 from .errors import ContractViolation, NumericFault
 from .metrics import EvalSample
 from .rng import Rng
@@ -122,6 +123,12 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
     if args.episodes < 1:
         raise ContractViolation("evaluation needs at least one episode")
     env_cfg = cfg.env
+    if not args.oracle:
+        if not args.checkpoint:
+            raise ContractViolation("eval needs --checkpoint or --oracle")
+        net, meta = persistence.load_dqn_checkpoint(args.checkpoint)
+        if isinstance(meta, dict) and "env" in meta:
+            env_cfg = build_section(EnvConfig, meta["env"], "checkpoint env")
     if args.wind is not None:
         env_cfg = replace(env_cfg, wind_probability=args.wind)
 
@@ -133,15 +140,6 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
         policy = lambda s: dqn.Action(int(solution.policy[mdp.row_of(s)]))
         result = dqn.evaluate_policy(policy, env_cfg, args.episodes, args.seed)
     else:
-        if not args.checkpoint:
-            raise ContractViolation("eval needs --checkpoint or --oracle")
-        net, meta = persistence.load_dqn_checkpoint(args.checkpoint)
-        if args.wind is None and isinstance(meta.get("env"), dict):
-            stored = dict(meta["env"])
-            for key in ("x_range", "y_range", "z_range", "k_weights"):
-                if key in stored and isinstance(stored[key], list):
-                    stored[key] = tuple(stored[key])
-            env_cfg = type(env_cfg)(**stored)
         result = dqn.evaluate(net, env_cfg, args.episodes, args.seed)
 
     print(f"success rate: {result.success_rate:.3f}")
@@ -228,11 +226,15 @@ def _cmd_bench(args, cfg: AppConfig) -> int:
     for _ in range(args.warmup):
         vital_detect(random_image(), weights)
     latencies = []
+    detections = []
     for _ in range(args.iters):
         img = random_image()
         t0 = time.perf_counter()
-        vital_detect(img, weights)
+        det = vital_detect(img, weights)
         latencies.append((time.perf_counter() - t0) * 1000.0)
+        b = det.bbox
+        detections.append((det.objectness, b.x_min, b.y_min, b.x_max, b.y_max))
+    digest = hashlib.sha256(np.array(detections, dtype=np.float64).tobytes()).hexdigest()
     lat = np.array(latencies)
     mean = float(lat.mean())
     print(f"input shape: {shape}")
@@ -243,6 +245,7 @@ def _cmd_bench(args, cfg: AppConfig) -> int:
     print(f"latency min: {float(lat.min()):.2f} ms")
     print(f"latency max: {float(lat.max()):.2f} ms")
     print(f"throughput: {1000.0 / mean:.2f} images/s")
+    print(f"output sha256: {digest}")
     return EXIT_OK
 
 

@@ -54,7 +54,9 @@ def _fits(value, hint) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
 
 
-def _build(dc_type, section, where: str):
+def build_section(dc_type, section, where: str):
+    """Build ``dc_type`` from a JSON object, rejecting unknown keys and values
+    that do not fit the field annotations; ``where`` names the section in errors."""
     if not isinstance(section, dict):
         raise ContractViolation(f"config section {where} must be a JSON object")
     known = {f.name for f in fields(dc_type)}
@@ -76,13 +78,13 @@ def parse_config_dict(raw: dict) -> AppConfig:
         raise ContractViolation(f"unknown config sections: {sorted(unknown)}")
     cfg = AppConfig()
     if "env" in raw:
-        cfg.env = _build(EnvConfig, raw["env"], "env")
+        cfg.env = build_section(EnvConfig, raw["env"], "env")
     if "train" in raw:
-        cfg.train = _build(TrainConfig, raw["train"], "train")
+        cfg.train = build_section(TrainConfig, raw["train"], "train")
     if "camera" in raw:
-        cfg.camera = _build(CameraFrame, raw["camera"], "camera")
+        cfg.camera = build_section(CameraFrame, raw["camera"], "camera")
     if "detector" in raw:
-        cfg.detector = _build(VitalConfig, raw["detector"], "detector")
+        cfg.detector = build_section(VitalConfig, raw["detector"], "detector")
         cfg.detector.validate()
     if "ppm_channel_order" in raw:
         order = tuple(raw["ppm_channel_order"])

@@ -69,6 +69,13 @@ class LanderState(NamedTuple):
         return math.hypot(self.dx, self.dy)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     x_range: tuple[float, float] = (-6.0, 6.0)
@@ -83,11 +90,20 @@ class EnvConfig:
     boundary_mode: str = "clamp"  # or "crash"
 
     def __post_init__(self) -> None:
+        for name in ("x_range", "y_range", "z_range", "resolution", "landing_zone_radius",
+                     "k_weights", "max_steps", "wind_probability", "wind_displacement"):
+            value = getattr(self, name)
+            if not all(map(_is_finite, value if isinstance(value, tuple) else (value,))):
+                raise ContractViolation(f"{name} must be finite, got {value!r}")
         if self.resolution <= 0:
             raise ContractViolation("resolution must be positive")
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if lo > hi:
                 raise ContractViolation(f"{name}_range is not ordered")
+            if not math.isfinite((float(hi) - float(lo)) / self.resolution):
+                raise ContractViolation(
+                    f"{name}_range spans too many cells at resolution {self.resolution}"
+                )
         if self.z_range[0] != 0.0:
             raise ContractViolation("altitude range must start at ground level 0")
         if any(k < 0 for k in self.k_weights):

@@ -35,7 +35,12 @@ class Activation(Enum):
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = np.asarray(x, dtype=np.float64)
-    return x * 0.5 * (1.0 + erf(x / _SQRT2))
+    # (x * 0.5) * (1 + erf(x / sqrt2)), in that order, with one temporary
+    out = np.divide(x, _SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= x * 0.5
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -158,8 +163,9 @@ def conv2d_forward(
     """Cross-correlation of a (C, H, W) tensor with (Cout, C, kh, kw) kernels.
 
     Output spatial size follows floor((H + 2p - k) / s) + 1. Implemented as
-    one channel-mixing matmul over the padded plane followed by kh*kw
-    shifted accumulations, all in float64 (avoids the im2col gather).
+    im2col: the kh*kw shifted views of the padded input are cast straight
+    into one float64 (C*kh*kw, out_h*out_w) patch matrix, which a single
+    float64 GEMM multiplies by the flattened kernels.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -181,18 +187,13 @@ def conv2d_forward(
         padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     else:
         padded = x
-    if kh == 1 and kw == 1:
-        view = padded[:, : (out_h - 1) * stride + 1 : stride, : (out_w - 1) * stride + 1 : stride]
-        cols = view.reshape(c, out_h * out_w).astype(np.float64)
-    else:
-        # channel-major patch matrix; filling casts float32 -> float64 in place
-        cols = np.empty((c, kh * kw, out_h * out_w), dtype=np.float64)
-        for u in range(kh):
-            rows = slice(u, u + (out_h - 1) * stride + 1, stride)
-            for v in range(kw):
-                csel = slice(v, v + (out_w - 1) * stride + 1, stride)
-                cols[:, u * kw + v, :] = padded[:, rows, csel].reshape(c, -1)
-        cols = cols.reshape(c * kh * kw, out_h * out_w)
+    # channel-major patch matrix; each assignment casts its view in one pass
+    cols = np.empty((c, kh, kw, out_h, out_w), dtype=np.float64)
+    for u in range(kh):
+        rows = slice(u, u + (out_h - 1) * stride + 1, stride)
+        for v in range(kw):
+            cols[:, u, v] = padded[:, rows, v : v + (out_w - 1) * stride + 1 : stride]
+    cols = cols.reshape(c * kh * kw, out_h * out_w)
     out = kernels.reshape(cout, c * kh * kw).astype(np.float64, copy=False) @ cols
     if bias is not None:
         bias = np.asarray(bias)
@@ -210,7 +211,12 @@ def maxpool2_forward(x: np.ndarray) -> np.ndarray:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"maxpool needs even spatial dims, got {h}x{w}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    # the max of the four phase views, in the order reshape(...).max(axis=(2, 4))
+    # visits them, so ties between -0.0 and +0.0 resolve the same way
+    out = np.maximum(x[:, ::2, ::2], x[:, ::2, 1::2])
+    np.maximum(out, x[:, 1::2, ::2], out=out)
+    np.maximum(out, x[:, 1::2, 1::2], out=out)
+    return out
 
 
 def batchnorm_inference(
@@ -234,7 +240,8 @@ def batchnorm_inference(
         raise ContractViolation("batchnorm variance must be non-negative")
     scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + eps)
     shift = beta - mean.astype(np.float64) * scale
-    out = np.asarray(x, dtype=np.float64) * scale[:, None, None] + shift[:, None, None]
+    out = np.multiply(x, scale[:, None, None], dtype=np.float64)
+    out += shift[:, None, None]
     return out.astype(_out_dtype(x, gamma), copy=False)
 
 
@@ -260,16 +267,20 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax in float64."""
-    m = np.asarray(m, dtype=np.float64)
+    return _softmax_rows_inplace(np.array(m, dtype=np.float64))
+
+
+def _softmax_rows_inplace(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax that overwrites the float64 array ``m`` and returns it."""
     lo, hi = float(m.min()), float(m.max())
     if hi > 700.0 or hi - lo > 700.0:
-        m = m - m.max(axis=-1, keepdims=True)
+        m -= m.max(axis=-1, keepdims=True)
         # floor far-underflowed logits: exp() on subnormals is very slow
         # on some CPUs
         np.maximum(m, -708.0, out=m)
-    e = np.exp(m)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 @dataclass
@@ -320,7 +331,7 @@ def multihead_attention(
     qh = q.reshape(t, heads, dh).transpose(1, 0, 2)
     kh = k.reshape(t, heads, dh).transpose(1, 0, 2)
     vh = v.reshape(t, heads, dh).transpose(1, 0, 2)
-    attn = softmax_rows(qh @ kh.transpose(0, 2, 1))
+    attn = _softmax_rows_inplace(qh @ kh.transpose(0, 2, 1))
     ctx = (attn @ vh).transpose(1, 0, 2).reshape(t, d)
     out = ctx @ params.wo.T.astype(np.float64, copy=False)
     out += params.bo

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gridlander.cli import main
+from gridlander.dqn import init_qnetwork
 from gridlander.persistence import (
     SampleRecord,
     load_dqn_checkpoint,
     read_ppm,
+    save_dqn_checkpoint,
     write_ppm,
     write_sample_records,
 )
@@ -117,6 +119,27 @@ def test_eval_checkpoint_roundtrip(tmp_path, capsys, small_config):
     assert meta["env"]["x_range"] == [-2, 2]
 
 
+def test_eval_checkpoint_unknown_env_key_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "dqn.ckpt"
+    save_dqn_checkpoint(ckpt, init_qnetwork(0), {"env": {"gravity": 9.8}})
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--episodes", "1")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "gravity" in err
+
+
+def test_eval_checkpoint_wind_keeps_stored_grid(tmp_path, capsys):
+    ckpt = tmp_path / "dqn.ckpt"
+    save_dqn_checkpoint(ckpt, init_qnetwork(0), {"env": SMALL_ENV["env"]})
+    out = tmp_path / "eval"
+    code, _, _ = run(capsys, "--seed", "3", "eval", "--checkpoint", str(ckpt),
+                     "--episodes", "6", "--wind", "0.0", "--out", str(out))
+    assert code == 0
+    for trace in out.glob("episode_*.csv"):
+        for row in trace.read_text().splitlines()[1:]:
+            dx, dy, dz = (float(v) for v in row.split(",")[1:4])
+            assert abs(dx) <= 2 and abs(dy) <= 2 and 0 <= dz <= 3
+
+
 def test_eval_needs_checkpoint_or_oracle(capsys):
     code, _, err = run(capsys, "eval", "--episodes", "2")
     assert code == 2
@@ -203,13 +226,24 @@ def test_bench_mean_within_min_max(capsys):
 
 
 def test_bench_stability_two_runs(capsys):
-    means = []
+    means, digests = [], []
     for _ in range(2):
         code, stdout, _ = run(capsys, "bench", "--iters", "5", "--warmup", "2")
         assert code == 0
+        digests.append([l for l in stdout.splitlines() if l.startswith("output sha256:")])
         line = [l for l in stdout.splitlines() if l.startswith("latency mean")][0]
         means.append(float(line.split(":")[1].replace("ms", "")))
     assert abs(means[0] - means[1]) <= 0.2 * max(means)
+    assert digests[0] == digests[1]
+
+
+def test_bench_output_digest(capsys):
+    # SHA-256 of the float64 (objectness, x_min, y_min, x_max, y_max) rows
+    code, stdout, _ = run(capsys, "bench", "--iters", "2", "--warmup", "0")
+    assert code == 0
+    assert stdout.splitlines()[-1] == (
+        "output sha256: 54ec4feeb3e089e2d41c7b656451008b30f85bf44096661979119005fb3dd956"
+    )
 
 
 def test_detect_batch_without_labels_lists_detections(tmp_path, capsys):
@@ -356,6 +390,16 @@ def test_config_type_errors_exit_2(tmp_path, capsys, raw):
     code, stdout, err = run(capsys, "--config", str(cfg), "oracle")
     _assert_one_line_usage_error(code, stdout, err)
     assert list(raw)[0] in err
+
+
+@pytest.mark.parametrize(
+    "env", [{"resolution": float("nan")}, {"x_range": [-1e308, 1e308]}]
+)
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
+def test_non_finite_env_values_exit_2(tmp_path, capsys, env, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"env": env}))  # NaN is written as the bare token NaN
+    _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), *command))
 
 
 @pytest.mark.parametrize("steps", ["-3", "0"])

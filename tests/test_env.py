@@ -308,6 +308,30 @@ def test_wind_deterministic_and_displaces_horizontally():
     assert abs(moved.dx) + abs(moved.dy) == 1.0  # one-cell gust
 
 
+# --- config validation ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"resolution": math.nan},
+        {"resolution": math.inf},
+        {"landing_zone_radius": math.nan},
+        {"x_range": (math.nan, 1.0)},
+        {"y_range": (-math.inf, 1.0)},
+        {"z_range": (0.0, math.inf)},
+        {"k_weights": (1.0, math.nan, 1.0)},
+        {"wind_probability": math.nan},
+        {"max_steps": 10**400},  # an int no float can hold
+        {"x_range": (-1e308, 1e308)},  # hi - lo overflows
+        {"resolution": 5e-324},  # the cell count overflows
+    ],
+)
+def test_config_rejects_non_finite_values(overrides):
+    with pytest.raises(ContractViolation):
+        EnvConfig(**overrides)
+
+
 # --- enumerated MDP ---------------------------------------------------------------
 
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from gridlander.errors import ContractViolation
 from gridlander.rng import Rng
 from gridlander.nncore import (
+    _softmax_rows_inplace,
     Activation,
     AttentionParams,
     DenseLayer,
@@ -481,3 +484,157 @@ def test_ops_are_pure_and_deterministic():
                        rng.standard_normal(4).astype(np.float32), Activation.GELU)
     v = rng.standard_normal(5).astype(np.float32)
     assert np.array_equal(dense_forward(layer, v), dense_forward(layer, v))
+
+
+# --- bitwise equality with the copying reference expressions --------------------
+#
+# The kernels below were rewritten to make fewer temporaries; each keeps the
+# operation order of the straightforward expression it replaced, so its output
+# must be bit-for-bit the reference's, including the sign of zero in ties.
+
+
+def ref_maxpool(x):
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+
+
+def ref_conv(x, kernels, bias, stride, padding):
+    c, h, w = x.shape
+    cout, _, kh, kw = kernels.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((c, kh * kw, out_h * out_w), dtype=np.float64)
+    for u in range(kh):
+        rows = slice(u, u + (out_h - 1) * stride + 1, stride)
+        for v in range(kw):
+            csel = slice(v, v + (out_w - 1) * stride + 1, stride)
+            cols[:, u * kw + v, :] = padded[:, rows, csel].reshape(c, -1)
+    out = kernels.reshape(cout, -1).astype(np.float64) @ cols.reshape(c * kh * kw, -1)
+    out += bias[:, None]
+    return out.reshape(cout, out_h, out_w).astype(np.result_type(x, kernels))
+
+
+def ref_gelu(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def ref_batchnorm(x, mean, var, gamma, beta, eps=1e-5):
+    scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + eps)
+    shift = beta - mean.astype(np.float64) * scale
+    out = np.asarray(x, dtype=np.float64) * scale[:, None, None] + shift[:, None, None]
+    return out.astype(np.result_type(x, gamma))
+
+
+def ref_softmax(m):
+    m = np.asarray(m, dtype=np.float64)
+    if m.max() > 700.0 or m.max() - m.min() > 700.0:
+        m = m - m.max(axis=-1, keepdims=True)
+        np.maximum(m, -708.0, out=m)
+    e = np.exp(m)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def assert_bitwise(got, want):
+    """Equal bytes, except that any NaN matches any NaN: which NaN a max or
+    sum passes on (sign, payload) is not part of the contract, and a NaN never
+    leaves the detector, whose finite checks reject it."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# small pools of values make ties, and ties between -0.0 and +0.0, common
+_TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+def _f32(lo=-4.0, hi=4.0):
+    return _TIES | st.floats(lo, hi, width=32)
+
+
+def _planes(elements, dtype=np.float32, max_c=3, max_side=7, even=False):
+    side = st.integers(1, max_side).map(lambda n: 2 * n if even else n)
+    shape = st.tuples(st.integers(1, max_c), side, side)
+    return hnp.arrays(dtype, shape, elements=elements)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _planes(_TIES | st.floats(width=32), max_c=4, max_side=12, even=True)
+    | _planes(_TIES | st.floats(), dtype=np.float64, max_side=6, even=True)
+)
+def test_maxpool_bitwise_equals_reshape_max(x):
+    assert_bitwise(maxpool2_forward(x), ref_maxpool(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_planes(_f32(), max_side=9),
+    cout=st.integers(1, 3),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 2),
+    data=st.data(),
+)
+def test_conv_bitwise_equals_reshape_im2col(x, cout, k, stride, padding, data):
+    c, h, w = x.shape
+    if k > h + 2 * padding or k > w + 2 * padding:
+        return
+    kernels = data.draw(hnp.arrays(np.float32, (cout, c, k, k), elements=_f32()))
+    bias = data.draw(hnp.arrays(np.float32, (cout,), elements=_f32()))
+    got = conv2d_forward(x, kernels, bias, stride=stride, padding=padding)
+    assert_bitwise(got, ref_conv(x, kernels, bias, stride, padding))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=_TIES | st.floats(allow_nan=False))
+    | hnp.arrays(np.float32, st.tuples(st.integers(1, 5), st.integers(1, 9)),
+                 elements=_TIES | st.floats(width=32, allow_nan=False))
+)
+def test_gelu_bitwise_equals_expression(x):
+    before = x.copy()
+    with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0
+        assert_bitwise(gelu(x), ref_gelu(x))
+    assert_bitwise(x, before)  # the input is not overwritten
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_planes(_TIES | st.floats(width=32, allow_nan=False, allow_infinity=False), max_side=9),
+    data=st.data(),
+)
+def test_batchnorm_bitwise_equals_expression(x, data):
+    c = x.shape[0]
+    mean, gamma, beta = (
+        data.draw(hnp.arrays(np.float32, (c,), elements=_f32(-3.0, 3.0))) for _ in range(3)
+    )
+    var = data.draw(hnp.arrays(np.float32, (c,), elements=st.floats(0.0, 9.0, width=32)))
+    before = x.copy()
+    got = batchnorm_inference(x, mean, var, gamma, beta)
+    assert_bitwise(got, ref_batchnorm(x, mean, var, gamma, beta))
+    assert_bitwise(x, before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 24)),
+        elements=_TIES | st.floats(-1000.0, 1000.0),
+    ),
+    st.booleans(),
+)
+def test_softmax_bitwise_equals_expression(m, transposed):
+    if transposed:  # a non-contiguous input keeps its layout through the copy
+        m = m.transpose(0, 2, 1)
+    want = ref_softmax(m)
+    before = m.copy()
+    assert_bitwise(softmax_rows(m), want)
+    assert_bitwise(m, before)  # softmax_rows leaves its argument alone
+    owned = m.copy()
+    assert _softmax_rows_inplace(owned) is owned
+    assert_bitwise(owned, ref_softmax(m.copy()))
