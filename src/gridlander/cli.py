@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return EXIT_FAULT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_FAULT

@@ -8,6 +8,12 @@ step once the buffer holds a batch, a soft-updated target network, and a
 per-episode epsilon decay. Training stops early when both the minimum and
 the mean return over a trailing window clear their thresholds.
 
+Layout: a network's layers are views into one float32 vector
+(``QNetwork.flat``), so Adam and the soft update are in-place vector
+operations and a TD step casts each network to float64 once. Replay keeps
+normalized states, actions, rewards and continue flags in preallocated
+arrays and samples them as a ``ReplayBatch``.
+
 Determinism: a single seed derives independent substreams for weight
 initialization, environment resets/wind, exploration, and replay sampling,
 so a run is a pure function of (configs, seed).
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,27 +48,42 @@ QNET_LAYOUT = ((3, 256), (256, 256), (256, 128), (128, 5))
 _HIDDEN_ACT = (Activation.RELU, Activation.RELU, Activation.RELU, Activation.IDENTITY)
 
 
-@dataclass
-class QNetwork:
-    layers: list[DenseLayer]
+def _dense_views(flat: np.ndarray) -> list[DenseLayer]:
+    """Layers over (out,in)/(out,) views of a flat vector, in QNET_LAYOUT order."""
+    layers, pos = [], 0
+    for (in_dim, out_dim), act in zip(QNET_LAYOUT, _HIDDEN_ACT):
+        end = pos + out_dim * in_dim
+        w, b = flat[pos:end].reshape(out_dim, in_dim), flat[end : end + out_dim]
+        layers.append(DenseLayer(w, b, act))
+        pos = end + out_dim
+    return layers
 
-    def __post_init__(self) -> None:
-        shapes = tuple((l.out_dim, l.in_dim) for l in self.layers)
-        expected = tuple((o, i) for i, o in QNET_LAYOUT)
-        if shapes != expected:
-            raise ContractViolation(f"q-network layout {shapes} != required {expected}")
+
+class QNetwork:
+    """The Q-network; ``layers`` are views into the float32 vector ``flat``."""
+
+    def __init__(self, layers: list[DenseLayer]) -> None:
+        found = tuple((l.out_dim, l.in_dim, l.activation) for l in layers)
+        expected = tuple((o, i, a) for (i, o), a in zip(QNET_LAYOUT, _HIDDEN_ACT))
+        if found != expected:
+            raise ContractViolation(f"q-network layout {found} != required {expected}")
+        parts = [p.ravel() for l in layers for p in (l.weights, l.bias)]
+        self.flat = np.concatenate(parts).astype(np.float32, copy=False)
+        self.layers = _dense_views(self.flat)
+        self._flat64: Optional[np.ndarray] = None
 
     def clone(self) -> "QNetwork":
-        return QNetwork(
-            [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+        return QNetwork(self.layers)  # one concatenate: a single copy of flat
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for l in self.layers:
-            out.append(l.weights)
-            out.append(l.bias)
-        return out
+    def float64_layers(self) -> list[DenseLayer]:
+        """The layers over a float64 copy of ``flat``, refreshed in place and
+        handed out again by the next call. One reused buffer, not a fresh
+        0.8 MB cast per TD step: those page-faulted on every step."""
+        if self._flat64 is None:
+            self._flat64 = np.empty(self.flat.size)
+            self._layers64 = _dense_views(self._flat64)
+        self._flat64[:] = self.flat
+        return self._layers64
 
 
 def init_qnetwork(seed: int) -> QNetwork:
@@ -109,41 +130,53 @@ def epsilon_schedule(completed_episodes: int, cfg: TrainConfig) -> float:
     return max(cfg.eps_final, cfg.eps_initial - completed_episodes * cfg.eps_decrement)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: LanderState
-    action: Action
-    reward: float
-    next_state: LanderState
-    done: bool  # true MDP terminal; a step-budget cutoff is not done
+class ReplayBatch(NamedTuple):
+    """Rows of transitions with states already normalized."""
+
+    state: np.ndarray  # (n, 3) float32
+    action: np.ndarray  # (n,) int64
+    reward: np.ndarray  # (n,) float64
+    next_state: np.ndarray  # (n, 3) float32
+    cont: np.ndarray  # (n,) float64: 0.0 on a true MDP terminal (not a step-budget cutoff)
 
 
 class ReplayBuffer:
     """Fixed-capacity ring with uniform without-replacement batch sampling."""
 
-    def __init__(self, capacity: int, rng: Rng) -> None:
+    def __init__(self, capacity: int, rng: Rng, env_cfg: EnvConfig) -> None:
         if capacity < 1:
             raise ContractViolation("capacity must be positive")
-        self.capacity = capacity
-        self.rng = rng
-        self._items: list[Transition] = []
-        self._cursor = 0
+        self.capacity, self.rng, self.env_cfg = capacity, rng, env_cfg
+        # np.zeros leaves untouched pages uncommitted until the ring reaches them
+        self._rings = ReplayBatch(
+            np.zeros((capacity, 3), np.float32),
+            np.zeros(capacity, np.int64),
+            np.zeros(capacity),
+            np.zeros((capacity, 3), np.float32),
+            np.zeros(capacity),
+        )
+        self._size = self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def push(self, t: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(t)
-        else:
-            self._items[self._cursor] = t
-            self._cursor = (self._cursor + 1) % self.capacity
+    def push(
+        self, state: LanderState, action: Action, reward: float, next_state: LanderState, done: bool
+    ) -> None:
+        i, r = self._cursor, self._rings
+        r.state[i] = normalize_state(state, self.env_cfg)
+        r.action[i] = int(action)
+        r.reward[i] = reward
+        r.next_state[i] = normalize_state(next_state, self.env_cfg)
+        r.cont[i] = 0.0 if done else 1.0
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if batch_size > len(self._items):
+    def sample(self, batch_size: int) -> ReplayBatch:
+        if batch_size > self._size:
             raise ContractViolation("not enough stored transitions to sample")
-        idx = self.rng.sample_without_replacement(len(self._items), batch_size)
-        return [self._items[int(i)] for i in idx]
+        idx = self.rng.sample_without_replacement(self._size, batch_size)
+        return ReplayBatch(*(ring[idx] for ring in self._rings))
 
 
 def normalize_state(state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
@@ -158,13 +191,11 @@ def normalize_state(state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
     )
 
 
-def _forward_batch(net: QNetwork, x: np.ndarray):
+def _forward_batch(layers: list[DenseLayer], h: np.ndarray):
     """Q-values for a (batch, 3) matrix plus per-layer inputs and cached
     preactivations for backprop."""
-    inputs = []
-    preacts = []
-    h = x
-    for layer in net.layers:
+    inputs, preacts = [], []
+    for layer in layers:
         inputs.append(h)
         z = dense_preactivation(layer, h)
         preacts.append(z)
@@ -195,77 +226,81 @@ def select_action(
 
 
 class AdamOptimizer:
-    """Adam with bias correction over a fixed parameter list."""
+    """Adam with bias correction over one float32 parameter vector.
 
-    def __init__(self, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    ``grad`` is the buffer ``td_update`` fills; the moments and the update
+    are computed in place, in the order of the textbook expression.
+    """
+
+    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+        self.m, self.v, self.grad, self._tmp, self._den = (np.zeros_like(params) for _ in range(5))
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            g32 = g.astype(np.float32)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g32
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g32 * g32
-            p -= (lr / b1c) * m / (np.sqrt(v / b2c) + self.eps)
+        m, v, tmp, den = self.m, self.v, self._tmp, self._den
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=tmp)
+        tmp *= grads
+        v += tmp
+        # p -= (lr / b1c) * m / (sqrt(v / b2c) + eps)
+        np.multiply(m, lr / b1c, out=tmp)
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        tmp /= den
+        params -= tmp
 
 
-def compute_targets(
-    target_net: QNetwork, batch: list[Transition], gamma: float, env_cfg: EnvConfig
-) -> np.ndarray:
+def compute_targets(target_net: QNetwork, batch: ReplayBatch, gamma: float) -> np.ndarray:
     """y = r + gamma * max_a' Q_target(s', a'), or y = r on terminal moves."""
-    next_x = np.stack([normalize_state(t.next_state, env_cfg) for t in batch])
-    next_q, _, _ = _forward_batch(target_net, next_x)
+    next_q, _, _ = _forward_batch(target_net.float64_layers(), batch.next_state)
     best = next_q.max(axis=1).astype(np.float64)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    cont = np.array([0.0 if t.done else 1.0 for t in batch])
-    return rewards + gamma * cont * best
+    return batch.reward + gamma * batch.cont * best
 
 
 def td_update(
     online: QNetwork,
     target: QNetwork,
-    batch: list[Transition],
+    batch: ReplayBatch,
     gamma: float,
     lr: float,
     optimizer: AdamOptimizer,
-    env_cfg: EnvConfig,
 ) -> float:
     """One Huber (delta=1) gradient step on the taken-action Q-values.
 
     Returns the mean loss over the batch; raises NumericFault on
     non-finite values.
     """
-    if not batch:
+    n = len(batch.action)
+    if n == 0:
         raise ContractViolation("td_update needs a non-empty batch")
-    y = compute_targets(target, batch, gamma, env_cfg)
-    x = np.stack([normalize_state(t.state, env_cfg) for t in batch])
-    actions = np.array([int(t.action) for t in batch])
-    q, inputs, preacts = _forward_batch(online, x)
-    taken = q[np.arange(len(batch)), actions].astype(np.float64)
-    err = taken - y
+    y = compute_targets(target, batch, gamma)
+    layers = online.float64_layers()
+    q, inputs, preacts = _forward_batch(layers, batch.state)
+    rows = np.arange(n)
+    err = q[rows, batch.action].astype(np.float64) - y
     abs_err = np.abs(err)
     losses = np.where(abs_err <= 1.0, 0.5 * err * err, abs_err - 0.5)
     loss = float(losses.mean())
     if not math.isfinite(loss):
         raise NumericFault(f"non-finite TD loss; |q|max={np.abs(q).max():.3g}")
 
-    grad_q = np.zeros_like(q, dtype=np.float64)
-    grad_q[np.arange(len(batch)), actions] = np.clip(err, -1.0, 1.0) / len(batch)
-    grads: list[np.ndarray] = []
-    g = grad_q
-    for layer, layer_in, z in zip(reversed(online.layers), reversed(inputs), reversed(preacts)):
-        gw, gb, g = dense_backward(layer, layer_in, g, preactivation=z)
-        grads.append(gb)
-        grads.append(gw)
-    grads.reverse()
-    optimizer.step(online.parameters(), grads, lr)
+    g = np.zeros_like(q, dtype=np.float64)
+    g[rows, batch.action] = np.clip(err, -1.0, 1.0) / n
+    grad_layers = _dense_views(optimizer.grad)
+    for i in reversed(range(len(layers))):
+        gw, gb, g = dense_backward(layers[i], inputs[i], g, preactivation=preacts[i])
+        grad_layers[i].weights[...] = gw  # float32 rounding, as in a float32 backward
+        grad_layers[i].bias[...] = gb
+        g = g.astype(np.float32)
+    optimizer.step(online.flat, optimizer.grad, lr)
     return loss
 
 
@@ -277,13 +312,12 @@ def soft_update(target: QNetwork, online: QNetwork, tau: float) -> None:
     """
     if not 0.0 <= tau <= 1.0:
         raise ContractViolation("tau must lie in [0,1]")
-    for t_layer, o_layer in zip(target.layers, online.layers):
-        if tau == 1.0:
-            t_layer.weights[:] = o_layer.weights
-            t_layer.bias[:] = o_layer.bias
-        else:
-            t_layer.weights += np.float32(tau) * (o_layer.weights - t_layer.weights)
-            t_layer.bias += np.float32(tau) * (o_layer.bias - t_layer.bias)
+    if tau == 1.0:
+        target.flat[:] = online.flat
+        return
+    tmp = online.flat - target.flat
+    tmp *= np.float32(tau)
+    target.flat += tmp
 
 
 @dataclass
@@ -323,8 +357,8 @@ def train(env_cfg: EnvConfig, cfg: TrainConfig, seed: int) -> TrainResult:
     target = online.clone()
     env = LandingEnv(env_cfg, master.derive(1))
     action_rng = master.derive(2)
-    buffer = ReplayBuffer(cfg.replay_capacity, master.derive(3))
-    optimizer = AdamOptimizer(online.parameters())
+    buffer = ReplayBuffer(cfg.replay_capacity, master.derive(3), env_cfg)
+    optimizer = AdamOptimizer(online.flat)
     trace = RewardTrace()
 
     stopped_early = False
@@ -337,12 +371,12 @@ def train(env_cfg: EnvConfig, cfg: TrainConfig, seed: int) -> TrainResult:
             action = select_action(online, state, eps, action_rng, env_cfg)
             out = env.step(action)
             done = out.terminal not in (Terminal.NONE, Terminal.MAX_STEPS)
-            buffer.push(Transition(state, action, out.reward, out.next, done))
+            buffer.push(state, action, out.reward, out.next, done)
             ep_return += out.reward
             state = out.next
             if len(buffer) >= cfg.batch_size:
                 td_update(online, target, buffer.sample(cfg.batch_size), cfg.gamma,
-                          cfg.learning_rate, optimizer, env_cfg)
+                          cfg.learning_rate, optimizer)
                 soft_update(target, online, cfg.tau)
             if out.terminal is not Terminal.NONE:
                 break

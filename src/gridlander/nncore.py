@@ -150,7 +150,7 @@ def dense_backward(
         grad_b = delta.sum(axis=0)
     grad_in = delta @ layer.weights.astype(np.float64, copy=False)
     dt = _out_dtype(x, layer.weights)
-    return grad_w.astype(dt), grad_b.astype(dt), grad_in.astype(dt)
+    return tuple(g.astype(dt, copy=False) for g in (grad_w, grad_b, grad_in))
 
 
 def conv2d_forward(

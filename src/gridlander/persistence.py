@@ -10,6 +10,7 @@ Byte-level layout lives in FORMATS.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -92,6 +93,34 @@ def save_checkpoint(
         fh.write(struct.pack("<I", crc))
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _header_problem(header, payload_len: int) -> Optional[str]:
+    """What makes a decoded header unusable, or None. The CRC covers only
+    the payload, so the header's structure is checked here."""
+    if not isinstance(header, dict):
+        return "not a JSON object"
+    if not isinstance(header.get("config", {}), dict):
+        return "config is not an object"
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        return "tensors is not a list"
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            return f"tensor entry {i} has no name"
+        shape, offset, length = entry.get("shape"), entry.get("offset"), entry.get("length")
+        # 32 dimensions is numpy 1.x's limit for reshape
+        if not (isinstance(shape, list) and len(shape) <= 32 and all(map(_is_count, shape))):
+            return f"tensor {entry['name']!r} has a bad shape"
+        if not (_is_count(offset) and _is_count(length) and offset + length <= payload_len):
+            return f"tensor {entry['name']!r} lies outside the payload"
+        if length != 4 * math.prod(shape):
+            return f"tensor {entry['name']!r} length does not match its shape"
+    return None
+
+
 def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 12 or data[: len(MAGIC)] != MAGIC:
@@ -112,6 +141,9 @@ def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise IntegrityError(f"{path}: payload checksum mismatch")
+    problem = _header_problem(header, len(payload))
+    if problem:
+        raise IntegrityError(f"{path}: malformed header ({problem})")
     kind = header.get("model_kind")
     if kind not in MODEL_KINDS:
         raise SchemaError(f"{path}: unknown model kind {kind!r}")
@@ -124,8 +156,6 @@ def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
             raise IntegrityError(f"{path}: duplicate tensor name {name!r}")
         start, length = entry["offset"], entry["length"]
         raw = payload[start : start + length]
-        if len(raw) != length:
-            raise IntegrityError(f"{path}: truncated tensor {name!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float32)
         tensors[name] = arr
     return Checkpoint(kind, header.get("config", {}), tensors)
@@ -155,7 +185,7 @@ def qnetwork_from_tensors(tensors: dict[str, np.ndarray]) -> QNetwork:
             raise SchemaError(
                 f"layer{i} shape {w.shape}/{b.shape} does not match the q-network layout"
             )
-        layers.append(DenseLayer(w.copy(), b.copy(), ref.activation))
+        layers.append(DenseLayer(w, b, ref.activation))  # QNetwork copies into its vector
     return QNetwork(layers)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_train_byte_identical_under_seed(tmp_path, capsys, small_config):
         outs.append(out)
     assert (outs[0] / "reward_trace.csv").read_bytes() == (outs[1] / "reward_trace.csv").read_bytes()
     assert (outs[0] / "dqn.ckpt").read_bytes() == (outs[1] / "dqn.ckpt").read_bytes()
+
+
+def test_train_outputs_match_recorded_digests(tmp_path, capsys):
+    # SHA-256 digests recorded from the per-tensor DQN core (float32 layers,
+    # list-backed replay); the flat-parameter core must reproduce them
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "--seed", "0", "train", "--episodes", "50", "--out", str(out))
+    assert code == 0
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest("dqn.ckpt") == "960c60ac6a89ca66e3040c6bf621185a64e2ff53fb8f5050d0db838b8594e825"
+    assert digest("reward_trace.csv") == (
+        "d9ea5b713b1c33a9742da319488ac655b95e60626c8c1e3b879dc94996a96323"
+    )
 
 
 def test_train_invalid_episodes(tmp_path, capsys):
@@ -400,6 +414,18 @@ def test_non_finite_env_values_exit_2(tmp_path, capsys, env, command):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"env": env}))  # NaN is written as the bare token NaN
     _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), *command))
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
+def test_grid_too_large_to_allocate_exits_1(tmp_path, capsys, command):
+    # 2e15 cells per axis: numpy refuses the allocation at once
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"env": {"x_range": [-1e15, 1e15]}}))
+    code, stdout, err = run(capsys, "--config", str(cfg), *command)
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("steps", ["-3", "0"])

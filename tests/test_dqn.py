@@ -2,13 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridlander.dqn import (
     AdamOptimizer,
+    QNET_LAYOUT,
     QNetwork,
+    ReplayBatch,
     ReplayBuffer,
     TrainConfig,
-    Transition,
     compute_targets,
     epsilon_schedule,
     evaluate,
@@ -24,7 +28,13 @@ from gridlander.dqn import (
 )
 from gridlander.env import Action, EnvConfig, LanderState, Terminal, enumerate_mdp
 from gridlander.errors import ContractViolation
-from gridlander.nncore import DenseLayer, dense_forward
+from gridlander.nncore import (
+    Activation,
+    DenseLayer,
+    dense_backward,
+    dense_forward,
+    dense_preactivation,
+)
 from gridlander.rng import Rng
 from gridlander.tabular import (
     greedy_agreement,
@@ -88,6 +98,17 @@ def test_normalize_state_scaling():
     assert np.allclose(v, [1.0, -1.0, 1.0])
 
 
+def test_layers_are_views_of_the_flat_vector():
+    net = init_qnetwork(14)
+    assert net.flat.dtype == np.float32 and net.flat.size == sum(o * i + o for i, o in QNET_LAYOUT)
+    net.layers[2].bias[3] = 7.0
+    assert 7.0 in net.flat
+    twin = net.clone()
+    assert twin.flat.tobytes() == net.flat.tobytes()
+    twin.layers[0].weights[0, 0] = 123.0
+    assert net.layers[0].weights[0, 0] != 123.0
+
+
 # --- action selection ------------------------------------------------------------
 
 
@@ -123,21 +144,34 @@ def test_select_action_epsilon_validation():
 
 
 def _transition(s, a, r, s2, done):
-    return Transition(LanderState(*s), a, r, LanderState(*s2), done)
+    return LanderState(*s), a, r, LanderState(*s2), done
+
+
+def _batch(*transitions):
+    """A ReplayBatch holding the given (state, action, reward, next, done) rows."""
+    states = [normalize_state(t[0], ENV) for t in transitions]
+    nexts = [normalize_state(t[3], ENV) for t in transitions]
+    return ReplayBatch(
+        np.array(states, dtype=np.float32).reshape(-1, 3),
+        np.array([int(t[1]) for t in transitions], dtype=np.int64),
+        np.array([t[2] for t in transitions], dtype=np.float64),
+        np.array(nexts, dtype=np.float32).reshape(-1, 3),
+        np.array([0.0 if t[4] else 1.0 for t in transitions]),
+    )
 
 
 def test_targets_terminal_equals_reward():
-    batch = [_transition((0, 0, 1), Action.DESCEND, 400.0, (0, 0, 0), True)]
-    y = compute_targets(init_qnetwork(4), batch, gamma=0.99, env_cfg=ENV)
+    batch = _batch(_transition((0, 0, 1), Action.DESCEND, 400.0, (0, 0, 0), True))
+    y = compute_targets(init_qnetwork(4), batch, gamma=0.99)
     assert y[0] == 400.0
 
 
 def test_targets_gamma_zero_equals_reward():
-    batch = [
+    batch = _batch(
         _transition((1, 1, 3), Action.LEFT, -12.5, (1, 2, 3), False),
         _transition((0, 0, 2), Action.DESCEND, 100.0, (0, 0, 1), False),
-    ]
-    y = compute_targets(init_qnetwork(5), batch, gamma=0.0, env_cfg=ENV)
+    )
+    y = compute_targets(init_qnetwork(5), batch, gamma=0.0)
     assert np.allclose(y, [-12.5, 100.0])
 
 
@@ -145,11 +179,11 @@ def test_targets_hand_built_two_state_mdp():
     # two states A=(1,0,2), B=(1,0,1); target net pinned to a constant Q
     target = constant_q_network([1.0, 2.0, 3.0, 4.0, 5.0])
     gamma = 0.9
-    batch = [
+    batch = _batch(
         _transition((1, 0, 2), Action.DESCEND, -7.0, (1, 0, 1), False),
         _transition((1, 0, 1), Action.DESCEND, 400.0, (1, 0, 0), True),
-    ]
-    y = compute_targets(target, batch, gamma, ENV)
+    )
+    y = compute_targets(target, batch, gamma)
     assert abs(y[0] - (-7.0 + 0.9 * 5.0)) < 1e-6
     assert abs(y[1] - 400.0) < 1e-6
 
@@ -157,10 +191,10 @@ def test_targets_hand_built_two_state_mdp():
 def test_td_update_loss_decreases_on_repeated_batch():
     net = init_qnetwork(6)
     target = net.clone()
-    optimizer = AdamOptimizer(net.parameters())
-    batch = [_transition((2, 0, 3), Action.BACKWARD, 55.0, (1, 0, 3), False)]
+    optimizer = AdamOptimizer(net.flat)
+    batch = _batch(_transition((2, 0, 3), Action.BACKWARD, 55.0, (1, 0, 3), False))
     losses = [
-        td_update(net, target, batch, gamma=0.99, lr=0.001, optimizer=optimizer, env_cfg=ENV)
+        td_update(net, target, batch, gamma=0.99, lr=0.001, optimizer=optimizer)
         for _ in range(10)
     ]
     assert all(a > b for a, b in zip(losses, losses[1:]))
@@ -169,7 +203,7 @@ def test_td_update_loss_decreases_on_repeated_batch():
 def test_td_update_empty_batch_rejected():
     net = init_qnetwork(7)
     with pytest.raises(ContractViolation):
-        td_update(net, net.clone(), [], 0.99, 0.001, AdamOptimizer(net.parameters()), ENV)
+        td_update(net, net.clone(), _batch(), 0.99, 0.001, AdamOptimizer(net.flat))
 
 
 def test_td_update_numeric_fault_on_nonfinite():
@@ -177,9 +211,112 @@ def test_td_update_numeric_fault_on_nonfinite():
 
     net = init_qnetwork(13)
     net.layers[0].weights[0, 0] = np.nan
-    batch = [_transition((1, 0, 3), Action.FORWARD, 1.0, (2, 0, 3), False)]
+    batch = _batch(_transition((1, 0, 3), Action.FORWARD, 1.0, (2, 0, 3), False))
     with pytest.raises(NumericFault):
-        td_update(net, net.clone(), batch, 0.99, 0.001, AdamOptimizer(net.parameters()), ENV)
+        td_update(net, net.clone(), batch, 0.99, 0.001, AdamOptimizer(net.flat))
+
+
+def _adam_reference(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam step the flat in-place optimizer replaced."""
+    b1c = 1.0 - beta1**t
+    b2c = 1.0 - beta2**t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        g32 = g.astype(np.float32)
+        m *= beta1
+        m += (1.0 - beta1) * g32
+        v *= beta2
+        v += (1.0 - beta2) * g32 * g32
+        p -= (lr / b1c) * m / (np.sqrt(v / b2c) + eps)
+
+
+_F32 = st.sampled_from([0.0, -0.0, 1.0, -1e-3]) | st.floats(-1e4, 1e4, width=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=hnp.arrays(np.float32, st.integers(1, 40), elements=_F32),
+    grads_seed=st.integers(0, 2**31 - 1),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    steps=st.integers(1, 4),
+    lr=st.sampled_from([1e-3, 0.1, 3.0]),
+)
+def test_flat_adam_matches_per_tensor_expression_bitwise(params, grads_seed, cuts, steps, lr):
+    rng = np.random.default_rng(grads_seed)
+    bounds = sorted({0, params.size, *(c for c in cuts if c < params.size)})
+    flat = params.copy()
+    tensors = [params[a:b].copy() for a, b in zip(bounds, bounds[1:])]
+    ms = [np.zeros_like(p) for p in tensors]
+    vs = [np.zeros_like(p) for p in tensors]
+    opt = AdamOptimizer(flat)
+    for t in range(1, steps + 1):
+        g = (rng.standard_normal(params.size) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
+        g[rng.random(params.size) < 0.2] = 0.0
+        opt.step(flat, g, lr)
+        _adam_reference(tensors, [g[a:b] for a, b in zip(bounds, bounds[1:])], ms, vs, t, lr)
+    assert flat.tobytes() == np.concatenate(tensors).tobytes()
+    assert opt.m.tobytes() == np.concatenate(ms).tobytes()
+    assert opt.v.tobytes() == np.concatenate(vs).tobytes()
+
+
+def _td_update_reference(online, target, rows, gamma, lr, state):
+    """The TD step before the flat layout: float32 layers cast inside every
+    kernel call, per-tensor Adam (``state`` holds its moments and step)."""
+    def forward(layers, x):
+        inputs, preacts, h = [], [], x
+        for layer in layers:
+            inputs.append(h)
+            z = dense_preactivation(layer, h)
+            preacts.append(z)
+            h = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
+            h = h.astype(np.float32)
+        return h, inputs, preacts
+
+    own = lambda net: [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
+                       for l in net.layers]
+    online_layers, target_layers = own(online), own(target)
+    x = np.stack([normalize_state(t[0], ENV) for t in rows])
+    next_x = np.stack([normalize_state(t[3], ENV) for t in rows])
+    next_q, _, _ = forward(target_layers, next_x)
+    rewards = np.array([t[2] for t in rows], dtype=np.float64)
+    cont = np.array([0.0 if t[4] else 1.0 for t in rows])
+    y = rewards + gamma * cont * next_q.max(axis=1).astype(np.float64)
+    actions = np.array([int(t[1]) for t in rows])
+    q, inputs, preacts = forward(online_layers, x)
+    err = q[np.arange(len(rows)), actions].astype(np.float64) - y
+    grad_q = np.zeros_like(q, dtype=np.float64)
+    grad_q[np.arange(len(rows)), actions] = np.clip(err, -1.0, 1.0) / len(rows)
+    grads, g = [], grad_q
+    for layer, layer_in, z in zip(reversed(online_layers), reversed(inputs), reversed(preacts)):
+        gw, gb, g = dense_backward(layer, layer_in, g, preactivation=z)
+        grads += [gb.astype(np.float32), gw.astype(np.float32)]
+        g = g.astype(np.float32)
+    grads.reverse()
+    params = [p for l in online_layers for p in (l.weights, l.bias)]
+    state["t"] += 1
+    _adam_reference(params, grads, state["m"], state["v"], state["t"], lr)
+    return np.concatenate([p.ravel() for p in params])
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(2, 3))
+def test_td_update_matches_per_tensor_reference_bitwise(seed, steps):
+    rng = np.random.default_rng(seed)
+    cell = lambda: (float(rng.integers(-6, 7)), float(rng.integers(-6, 7)),
+                    float(rng.integers(9)))
+    online, target = init_qnetwork(seed), init_qnetwork(seed + 1)
+    opt = AdamOptimizer(online.flat)
+    shapes = [p.shape for l in online.layers for p in (l.weights, l.bias)]
+    state = {"t": 0, "m": [np.zeros(s, np.float32) for s in shapes],
+             "v": [np.zeros(s, np.float32) for s in shapes]}
+    for _ in range(steps):
+        rows = [
+            _transition(cell(), Action(int(rng.integers(5))), float(rng.normal(0.0, 50.0)),
+                        cell(), bool(rng.random() < 0.2))
+            for _ in range(8)
+        ]
+        expected = _td_update_reference(online, target, rows, 0.99, 1e-3, state)
+        td_update(online, target, _batch(*rows), 0.99, 1e-3, opt)
+        assert online.flat.tobytes() == expected.tobytes()
 
 
 # --- soft update --------------------------------------------------------------------
@@ -216,6 +353,35 @@ def test_soft_update_fixed_point_bitwise():
         assert np.array_equal(t.bias, o.bias)
 
 
+def _soft_update_reference(target_layers, online_layers, tau):
+    """The per-tensor soft update the flat-vector form replaced."""
+    for t_layer, o_layer in zip(target_layers, online_layers):
+        if tau == 1.0:
+            t_layer.weights[:] = o_layer.weights
+            t_layer.bias[:] = o_layer.bias
+        else:
+            t_layer.weights += np.float32(tau) * (o_layer.weights - t_layer.weights)
+            t_layer.bias += np.float32(tau) * (o_layer.bias - t_layer.bias)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    tau=st.sampled_from([0.0, 1.0, 0.01, 0.5]) | st.floats(0.0, 1.0),
+    shared=st.floats(0.0, 1.0),
+)
+def test_flat_soft_update_matches_per_tensor_expression_bitwise(seeds, tau, shared):
+    online, target = init_qnetwork(seeds[0]), init_qnetwork(seeds[1])
+    same = np.random.default_rng(seeds[0]).random(online.flat.size) < shared
+    target.flat[same] = online.flat[same]  # coinciding entries must stay put
+    expected = [DenseLayer(l.weights.copy(), l.bias.copy()) for l in target.layers]
+    _soft_update_reference(expected, online.layers, tau)
+    soft_update(target, online, tau)
+    assert target.flat.tobytes() == b"".join(
+        p.tobytes() for l in expected for p in (l.weights, l.bias)
+    )
+
+
 # --- replay buffer -------------------------------------------------------------------
 
 
@@ -224,36 +390,82 @@ def make_transition(i):
 
 
 def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(4, Rng(0))
+    buf = ReplayBuffer(4, Rng(0), ENV)
     for i in range(6):
-        buf.push(make_transition(i))
+        buf.push(*make_transition(i))
     assert len(buf) == 4
-    stored = {t.reward for t in buf._items}
+    stored = set(buf.sample(4).reward)
     assert stored == {4.0, 5.0, 2.0, 3.0}
 
 
 def test_replay_sample_without_replacement():
-    buf = ReplayBuffer(100, Rng(1))
+    buf = ReplayBuffer(100, Rng(1), ENV)
     for i in range(50):
-        buf.push(make_transition(i))
+        buf.push(*make_transition(i))
     batch = buf.sample(50)
-    assert len({t.reward for t in batch}) == 50
+    assert len(set(batch.reward)) == 50
     with pytest.raises(ContractViolation):
         buf.sample(51)
 
 
 def test_replay_sampling_uniformity_3_sigma():
-    buf = ReplayBuffer(100, Rng(0))
+    buf = ReplayBuffer(100, Rng(0), ENV)
     for i in range(100):
-        buf.push(make_transition(i))
+        buf.push(*make_transition(i))
     counts = np.zeros(100)
     draws, k = 3000, 10
     for _ in range(draws):
-        for t in buf.sample(k):
-            counts[int(t.reward)] += 1
+        for r in buf.sample(k).reward:
+            counts[int(r)] += 1
     expected = draws * k / 100.0
     sigma = np.sqrt(draws * k * (1 / 100) * (99 / 100))
     assert np.abs(counts - expected).max() <= 3 * sigma
+
+
+class _ListRing:
+    """The list-of-transitions replay ring the array rings replaced."""
+
+    def __init__(self, capacity, rng):
+        self.capacity, self.rng, self.items, self.cursor = capacity, rng, [], 0
+
+    def push(self, t):
+        if len(self.items) < self.capacity:
+            self.items.append(t)
+        else:
+            self.items[self.cursor] = t
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, k):
+        idx = self.rng.sample_without_replacement(len(self.items), k)
+        return [self.items[int(i)] for i in idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 9),
+    pushes=st.integers(1, 30),
+    seed=st.integers(0, 2**31 - 1),
+    draws=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+)
+def test_array_ring_matches_list_ring(capacity, pushes, seed, draws):
+    rows = [
+        _transition((i % 13 - 6, (3 * i) % 13 - 6, i % 9), Action(i % 5), float(i),
+                    ((i + 1) % 13 - 6, i % 13 - 6, (i + 4) % 9), i % 3 == 0)
+        for i in range(pushes)
+    ]
+    buf, ring = ReplayBuffer(capacity, Rng(seed), ENV), _ListRing(capacity, Rng(seed))
+    for r in rows:
+        buf.push(*r)
+        ring.push(r)
+    assert len(buf) == len(ring.items) == min(pushes, capacity)
+    # the ring keeps exactly the newest min(pushes, capacity) transitions
+    newest = [float(i) for i in range(pushes - len(buf), pushes)]
+    assert sorted(buf.sample(len(buf)).reward) == newest
+    ring.sample(len(buf))
+    for k in (d for d in draws if d <= len(buf)):
+        got, expected = buf.sample(k), _batch(*ring.sample(k))
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # --- schedules and training ------------------------------------------------------------

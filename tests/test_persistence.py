@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlander.dqn import EpisodeLog, EpisodeStep, RewardTrace, init_qnetwork
 from gridlander.env import Action, LanderState, Terminal
@@ -104,6 +109,113 @@ def test_dqn_checkpoint_shape_schema(tmp_path):
     save_checkpoint(path, "dqn", {}, tensors)
     with pytest.raises(SchemaError):
         load_dqn_checkpoint(path)
+
+
+def _with_header(data: bytes, header) -> bytes:
+    """The checkpoint ``data`` with its JSON header replaced (header length kept
+    consistent; the CRC covers only the payload, so it still matches)."""
+    (old_len,) = struct.unpack_from("<I", data, 20)
+    raw = json.dumps(header).encode("utf-8")
+    return data[:20] + struct.pack("<I", len(raw)) + raw + data[24 + old_len :]
+
+
+def _dqn_checkpoint_bytes(tmp_path) -> bytes:
+    path = tmp_path / "valid.ckpt"
+    save_dqn_checkpoint(path, init_qnetwork(0), {"seed": 0})
+    return path.read_bytes()
+
+
+def _header_of(data: bytes) -> dict:
+    (n,) = struct.unpack_from("<I", data, 20)
+    return json.loads(data[24 : 24 + n])
+
+
+def _first_entry(**changes):
+    return lambda h: {**h, "tensors": [{**h["tensors"][0], **changes}] + h["tensors"][1:]}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: [h],
+        lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        lambda h: {**h, "tensors": {"layer0.weights": 1}},
+        lambda h: {**h, "config": [1, 2]},
+        _first_entry(offset=-4),
+        _first_entry(offset=2**30),
+        _first_entry(shape=[256, 2]),
+        _first_entry(length="3072"),
+        _first_entry(name=None),
+    ],
+)
+def test_checkpoint_malformed_header_integrity_error(tmp_path, mutate):
+    data = _dqn_checkpoint_bytes(tmp_path)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_with_header(data, mutate(_header_of(data))))
+    with pytest.raises(IntegrityError):
+        load_dqn_checkpoint(path)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.floats(allow_nan=False)
+_JSON = st.recursive(
+    _SCALARS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_KEYS = st.sampled_from(["model_kind", "config", "tensors", "name", "shape", "offset", "length"])
+
+
+@st.composite
+def _mutated_headers(draw, header):
+    """A valid header with one part replaced, deleted or duplicated."""
+    header = json.loads(json.dumps(header))
+    kind = draw(st.sampled_from(["whole", "top", "entry", "entries"]))
+    if kind == "whole":
+        return draw(_JSON)
+    if kind == "top":
+        key = draw(_KEYS)
+        if draw(st.booleans()):
+            header.pop(key, None)
+        else:
+            header[key] = draw(_JSON)
+        return header
+    entries = header["tensors"]
+    i = draw(st.integers(0, len(entries) - 1))
+    if kind == "entries":
+        op = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        if op == "drop":
+            del entries[i]
+        elif op == "duplicate":
+            entries.insert(i, dict(entries[i]))
+        else:
+            entries[i] = draw(_JSON)
+        return header
+    key = draw(_KEYS)
+    if draw(st.booleans()):
+        entries[i].pop(key, None)
+    else:
+        small_shape = st.lists(st.integers(-2, 300), max_size=3)
+        entries[i][key] = draw(st.integers(-8, 2**33) | small_shape | _JSON)
+    return header
+
+
+@pytest.fixture(scope="module")
+def valid_dqn_checkpoint(tmp_path_factory):
+    return _dqn_checkpoint_bytes(tmp_path_factory.mktemp("ckpt"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_header_fault_injection(tmp_path_factory, valid_dqn_checkpoint, data):
+    header = data.draw(_mutated_headers(_header_of(valid_dqn_checkpoint)))
+    path = tmp_path_factory.mktemp("fault") / "x.ckpt"
+    path.write_bytes(_with_header(valid_dqn_checkpoint, header))
+    try:
+        net, _ = load_dqn_checkpoint(path)
+    except FormatError:
+        return
+    assert net.flat.size > 0
 
 
 def test_vital_checkpoint_roundtrip(tmp_path):
