@@ -15,14 +15,13 @@ import os
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dqn import TrainConfig
 from .env import EnvConfig
 from .errors import ContractViolation
 from .geometry import CameraFrame
-from .persistence import DEFAULT_CHANNEL_ORDER
-from .vital import VitalConfig
+from .vital import MODALITIES, VitalConfig
 
 ENV_VAR = "GRIDLANDER_CONFIG"
 
@@ -35,7 +34,7 @@ class AppConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     camera: CameraFrame = field(default_factory=CameraFrame)
     detector: VitalConfig = field(default_factory=VitalConfig)
-    channel_order: tuple[str, ...] = DEFAULT_CHANNEL_ORDER
+    channel_order: tuple[str, ...] = MODALITIES
 
 
 def _fits(value, hint) -> bool:
@@ -72,6 +71,17 @@ def build_section(dc_type, section, where: str):
     return dc_type(**kwargs)
 
 
+def check_channel_order(order: Sequence[str]) -> tuple[str, ...]:
+    """``order`` as a tuple, if it is a list or tuple permuting the modalities."""
+    if not (
+        isinstance(order, (list, tuple))
+        and all(isinstance(m, str) for m in order)
+        and sorted(order) == sorted(MODALITIES)
+    ):
+        raise ContractViolation(f"channel order must be a permutation of {MODALITIES}, got {order!r}")
+    return tuple(order)
+
+
 def parse_config_dict(raw: dict) -> AppConfig:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
@@ -85,12 +95,8 @@ def parse_config_dict(raw: dict) -> AppConfig:
         cfg.camera = build_section(CameraFrame, raw["camera"], "camera")
     if "detector" in raw:
         cfg.detector = build_section(VitalConfig, raw["detector"], "detector")
-        cfg.detector.validate()
     if "ppm_channel_order" in raw:
-        order = tuple(raw["ppm_channel_order"])
-        from .persistence import _check_channel_order
-
-        cfg.channel_order = _check_channel_order(order)
+        cfg.channel_order = check_channel_order(raw["ppm_channel_order"])
     return cfg
 
 

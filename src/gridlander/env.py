@@ -150,14 +150,6 @@ def altitude_shaping(state: LanderState, config: EnvConfig) -> float:
     return shaping(state, config.k_weights, inside=True)
 
 
-def potential(state: LanderState, config: EnvConfig) -> float:
-    """The carried previous-shaping value for a state: altitude scale
-    inside the zone, full scale outside."""
-    if inside_zone(state, config):
-        return altitude_shaping(state, config)
-    return approach_shaping(state, config)
-
-
 def reward(prev: LanderState, nxt: LanderState, config: EnvConfig) -> float:
     """Per-step reward for the move prev -> nxt (see module docstring).
 

@@ -1,10 +1,8 @@
 """Detector-to-agent bridge: turn a detected box plus an altimeter reading
 into the grid state the landing policy consumes.
 
-The default offset mode takes the geometric box center minus the image
-center. A second mode, ``halfwidth``, evaluates half the box extent minus
-the center instead; it is position-blind and exists only so the
-alternative convention stays testable.
+The marker's pixel offset is the geometric box center minus the image
+center.
 """
 
 from __future__ import annotations
@@ -16,9 +14,6 @@ from typing import Optional
 from .env import EnvConfig, LanderState
 from .errors import ContractViolation
 from .losses import BBox
-
-OFFSET_MODES = ("center", "halfwidth")
-
 
 @dataclass(frozen=True)
 class CameraFrame:
@@ -42,18 +37,10 @@ class CameraFrame:
         return self.center[1] if self.center is not None else self.height / 2.0
 
 
-def bbox_to_offsets(
-    bbox: BBox, frame: CameraFrame, mode: str = "center"
-) -> tuple[float, float]:
+def bbox_to_offsets(bbox: BBox, frame: CameraFrame) -> tuple[float, float]:
     """Pixel offsets (du, dv) of the detected marker from the frame center."""
-    if mode not in OFFSET_MODES:
-        raise ContractViolation(f"mode must be one of {OFFSET_MODES}")
-    if mode == "center":
-        du = 0.5 * (bbox.x_min + bbox.x_max) - frame.cx
-        dv = 0.5 * (bbox.y_min + bbox.y_max) - frame.cy
-    else:
-        du = 0.5 * (bbox.x_max - bbox.x_min) - frame.cx
-        dv = 0.5 * (bbox.y_max - bbox.y_min) - frame.cy
+    du = 0.5 * (bbox.x_min + bbox.x_max) - frame.cx
+    dv = 0.5 * (bbox.y_min + bbox.y_max) - frame.cy
     return du, dv
 
 

@@ -77,7 +77,8 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def _iou_with_grad(pred: BBox, truth: BBox):
-    """IoU plus its gradient with respect to the predicted corners."""
+    """IoU, its gradient, the union area and the union's gradient, all with
+    respect to the predicted corners."""
     iw = min(pred.x_max, truth.x_max) - max(pred.x_min, truth.x_min)
     ih = min(pred.y_max, truth.y_max) - max(pred.y_min, truth.y_min)
     overlap = iw > 0.0 and ih > 0.0
@@ -99,7 +100,7 @@ def _iou_with_grad(pred: BBox, truth: BBox):
     d_area = np.array([-pred.height, -pred.width, pred.height, pred.width])
     d_union = d_area - d_inter
     grad = (d_inter * union - inter * d_union) / (union * union)
-    return val, grad
+    return val, grad, union, d_union
 
 
 def _enclosing_with_grad(pred: BBox, truth: BBox):
@@ -124,30 +125,12 @@ def _check_truth(truth: BBox) -> None:
         raise ContractViolation("truth box must have positive area")
 
 
-def _union_with_grad(pred: BBox, truth: BBox):
-    """Union area and its gradient with respect to the predicted corners."""
-    inter, iw, ih = _intersection(pred, truth)
-    d_inter = np.zeros(4)
-    if iw > 0.0 and ih > 0.0:
-        if pred.x_min > truth.x_min:
-            d_inter[0] = -ih
-        if pred.y_min > truth.y_min:
-            d_inter[1] = -iw
-        if pred.x_max < truth.x_max:
-            d_inter[2] = ih
-        if pred.y_max < truth.y_max:
-            d_inter[3] = iw
-    d_area = np.array([-pred.height, -pred.width, pred.height, pred.width])
-    return pred.area + truth.area - inter, d_area - d_inter
-
-
 def giou_loss(pred: BBox, truth: BBox) -> tuple[float, np.ndarray]:
     """1 - GIoU and its gradient; GIoU = IoU - |C \\ union| / |C|."""
     _check_truth(truth)
-    iou_val, d_iou = _iou_with_grad(pred, truth)
+    iou_val, d_iou, union, d_union = _iou_with_grad(pred, truth)
     cw, ch, d_cw, d_ch = _enclosing_with_grad(pred, truth)
     c_area = cw * ch
-    union, d_union = _union_with_grad(pred, truth)
     d_c = d_cw * ch + d_ch * cw
     penalty = (c_area - union) / c_area
     d_penalty = (d_c - d_union) / c_area - (c_area - union) * d_c / (c_area * c_area)
@@ -172,7 +155,7 @@ def _center_distance_terms(pred: BBox, truth: BBox):
 def diou_loss(pred: BBox, truth: BBox) -> tuple[float, np.ndarray]:
     """1 - DIoU and its gradient; DIoU = IoU - rho^2 / c^2."""
     _check_truth(truth)
-    iou_val, d_iou = _iou_with_grad(pred, truth)
+    iou_val, d_iou, _, _ = _iou_with_grad(pred, truth)
     dist, d_dist = _center_distance_terms(pred, truth)
     return 1.0 - (iou_val - dist), -(d_iou - d_dist)
 
@@ -183,7 +166,7 @@ def ciou_loss(pred: BBox, truth: BBox) -> tuple[float, np.ndarray]:
     alpha = v / ((1 - IoU) + v) is held constant during differentiation.
     """
     _check_truth(truth)
-    iou_val, d_iou = _iou_with_grad(pred, truth)
+    iou_val, d_iou, _, _ = _iou_with_grad(pred, truth)
     dist, d_dist = _center_distance_terms(pred, truth)
     wp, hp = pred.width, pred.height
     wt, ht = truth.width, truth.height

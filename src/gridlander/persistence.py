@@ -13,34 +13,34 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import build_section, check_channel_order
 from .dqn import EpisodeLog, QNetwork, RewardTrace, init_qnetwork
 from .errors import ContractViolation
 from .losses import BBox
-from .nncore import AttentionParams, DenseLayer
+from .nncore import DenseLayer
 from .vital import (
     BatchNormParams,
     ConvParams,
-    EncoderLayerWeights,
     HeadWeights,
+    IMAGE_SIZE,
     LayerNormParams,
     MODALITIES,
     MultimodalImage,
-    StemBlock,
-    StemWeights,
     VitalConfig,
     VitalWeights,
+    empty_weights,
 )
 
 MAGIC = b"GRIDLANDER-CKPT\x00"
 VERSION = 1
 MODEL_KINDS = ("vital", "dqn")
-DEFAULT_CHANNEL_ORDER = ("visual", "thermal", "lidar")
+DEFAULT_CHANNEL_ORDER = MODALITIES
 
 
 class FormatError(ValueError):
@@ -83,7 +83,7 @@ def save_checkpoint(
     header = _canonical_json(
         {"model_kind": model_kind, "config": config, "tensors": entries}
     )
-    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -137,7 +137,7 @@ def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: corrupt header ({exc})") from exc
     pos += header_len
-    payload = data[pos:-4]
+    payload = memoryview(data)[pos:-4]
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise IntegrityError(f"{path}: payload checksum mismatch")
@@ -155,9 +155,10 @@ def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
         if name in tensors:
             raise IntegrityError(f"{path}: duplicate tensor name {name!r}")
         start, length = entry["offset"], entry["length"]
-        raw = payload[start : start + length]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float32)
-        tensors[name] = arr
+        # a read-only view into the file's bytes; consumers copy what they keep
+        tensors[name] = np.frombuffer(payload[start : start + length], dtype="<f4").reshape(
+            entry["shape"]
+        )
     return Checkpoint(kind, header.get("config", {}), tensors)
 
 
@@ -222,6 +223,8 @@ def _head_entries(prefix: str, head: HeadWeights) -> list[tuple[str, np.ndarray]
 
 
 def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
+    """Every detector tensor under its checkpoint name, in checkpoint order.
+    The arrays are the tree's own, so writing into them fills the tree."""
     entries: list[tuple[str, np.ndarray]] = []
     for modality in MODALITIES:
         stem = weights.stems[modality]
@@ -253,135 +256,30 @@ def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
     return dict(entries)
 
 
-def vital_config_dict(config: VitalConfig) -> dict:
-    return {
-        "embed_dim": config.embed_dim,
-        "patch_side": config.patch_side,
-        "encoder_layers": config.encoder_layers,
-        "ffn_hidden": config.ffn_hidden,
-        "heads": config.heads,
-        "dropout": config.dropout,
-        "image_size": config.image_size,
-        "stem_channels": list(config.stem_channels),
-    }
-
-
-def vital_config_from_dict(d: dict) -> VitalConfig:
-    cfg = VitalConfig(
-        embed_dim=int(d["embed_dim"]),
-        patch_side=int(d["patch_side"]),
-        encoder_layers=int(d["encoder_layers"]),
-        ffn_hidden=int(d["ffn_hidden"]),
-        heads=int(d["heads"]),
-        dropout=float(d["dropout"]),
-        image_size=int(d["image_size"]),
-        stem_channels=tuple(int(c) for c in d["stem_channels"]),
-    )
-    cfg.validate()
-    return cfg
-
-
 def vital_from_tensors(config: VitalConfig, tensors: dict[str, np.ndarray]) -> VitalWeights:
-    def get(name: str, shape: tuple) -> np.ndarray:
-        try:
-            arr = tensors[name]
-        except KeyError:
+    """Detector weights for ``config`` copied from checkpoint tensors."""
+    weights = empty_weights(config)
+    for name, arr in vital_tensors(weights).items():
+        src = tensors.get(name)
+        if src is None:
             raise SchemaError(f"missing detector tensor {name!r}")
-        if arr.shape != shape:
-            raise SchemaError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        return arr.copy()
-
-    d = config.token_dim
-
-    def conv(prefix: str, c_out: int, c_in: int, k: int) -> ConvParams:
-        return ConvParams(
-            get(f"{prefix}.kernels", (c_out, c_in, k, k)), get(f"{prefix}.bias", (c_out,))
-        )
-
-    def bn(prefix: str, c: int) -> BatchNormParams:
-        return BatchNormParams(
-            get(f"{prefix}.gamma", (c,)),
-            get(f"{prefix}.beta", (c,)),
-            get(f"{prefix}.mean", (c,)),
-            get(f"{prefix}.var", (c,)),
-        )
-
-    def ln(prefix: str, dim: int) -> LayerNormParams:
-        return LayerNormParams(get(f"{prefix}.gamma", (dim,)), get(f"{prefix}.beta", (dim,)))
-
-    def dense(prefix: str, out_dim: int, in_dim: int, act) -> DenseLayer:
-        return DenseLayer(
-            get(f"{prefix}.weights", (out_dim, in_dim)), get(f"{prefix}.bias", (out_dim,)), act
-        )
-
-    from .nncore import Activation
-
-    stems = {}
-    for modality in MODALITIES:
-        blocks = []
-        c_in = 1
-        for b, c_out in enumerate(config.stem_channels):
-            p = f"stem.{modality}.block{b}"
-            blocks.append(
-                StemBlock(
-                    conv1=conv(f"{p}.conv1", c_out, c_in, 3),
-                    bn1=bn(f"{p}.bn1", c_out),
-                    conv2=conv(f"{p}.conv2", c_out, c_out, 3),
-                    bn2=bn(f"{p}.bn2", c_out),
-                    residual=conv(f"{p}.residual", c_out, c_in, 1),
-                )
-            )
-            c_in = c_out
-        stems[modality] = StemWeights(blocks, conv(f"stem.{modality}.final", config.embed_dim, c_in, 3))
-
-    encoder = []
-    for i in range(config.encoder_layers):
-        p = f"encoder{i}"
-        encoder.append(
-            EncoderLayerWeights(
-                ln_attn=ln(f"{p}.ln_attn", d),
-                attention=AttentionParams(
-                    wq=get(f"{p}.attn.wq", (d, d)),
-                    wk=get(f"{p}.attn.wk", (d, d)),
-                    wv=get(f"{p}.attn.wv", (d, d)),
-                    wo=get(f"{p}.attn.wo", (d, d)),
-                    bq=get(f"{p}.attn.bq", (d,)),
-                    bk=get(f"{p}.attn.bk", (d,)),
-                    bv=get(f"{p}.attn.bv", (d,)),
-                    bo=get(f"{p}.attn.bo", (d,)),
-                ),
-                ln_ffn=ln(f"{p}.ln_ffn", d),
-                ffn_in=dense(f"{p}.ffn_in", config.ffn_hidden, d, Activation.IDENTITY),
-                ffn_out=dense(f"{p}.ffn_out", d, config.ffn_hidden, Activation.IDENTITY),
-            )
-        )
-
-    def head(prefix: str, out_dim: int) -> HeadWeights:
-        return HeadWeights(
-            ln_in=ln(f"{prefix}.ln_in", d),
-            hidden=dense(f"{prefix}.hidden", d, d, Activation.IDENTITY),
-            ln_hidden=ln(f"{prefix}.ln_hidden", d),
-            out=dense(f"{prefix}.out", out_dim, d, Activation.IDENTITY),
-        )
-
-    return VitalWeights(
-        config=config,
-        stems=stems,
-        class_token=get("class_token", (1, d)),
-        positional=get("positional", (config.token_count, d)),
-        encoder=encoder,
-        head_objectness=head("head.objectness", 1),
-        head_box=head("head.box", 4),
-    )
+        if src.shape != arr.shape:
+            raise SchemaError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
+        arr[...] = src
+    return weights
 
 
 def save_vital_checkpoint(path, weights: VitalWeights) -> None:
-    save_checkpoint(path, "vital", vital_config_dict(weights.config), vital_tensors(weights))
+    save_checkpoint(path, "vital", asdict(weights.config), vital_tensors(weights))
 
 
 def load_vital_checkpoint(path) -> VitalWeights:
     ckpt = load_checkpoint(path, expect_kind="vital")
-    return vital_from_tensors(vital_config_from_dict(ckpt.config), ckpt.tensors)
+    missing = [f.name for f in fields(VitalConfig) if f.name not in ckpt.config]
+    if missing:
+        raise SchemaError(f"{path}: detector config lacks {missing}")
+    config = build_section(VitalConfig, ckpt.config, "checkpoint detector config")
+    return vital_from_tensors(config, ckpt.tensors)
 
 
 def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
@@ -403,7 +301,7 @@ def write_ppm(
 
     Quantization rounds half up: byte = floor(value * 255 + 0.5).
     """
-    order = _check_channel_order(channel_order)
+    order = check_channel_order(channel_order)
     planes = [img.planes[MODALITIES.index(m)] for m in order]
     raw = np.stack(planes, axis=-1)  # (H, W, 3) in file channel order
     bytes_img = np.floor(raw.astype(np.float64) * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
@@ -417,7 +315,7 @@ def read_ppm(
     path, channel_order: Sequence[str] = DEFAULT_CHANNEL_ORDER
 ) -> MultimodalImage:
     """Read a P6 8-bit 160x160 PPM and scale to [0,1] by /255."""
-    order = _check_channel_order(channel_order)
+    order = check_channel_order(channel_order)
     data = Path(path).read_bytes()
     fields, offset = _ppm_header_fields(path, data)
     if fields[0] != b"P6":
@@ -425,8 +323,6 @@ def read_ppm(
     w, h, maxval = (int(v) for v in fields[1:4])
     if maxval != 255:
         raise FormatError(f"{path}: expected 8-bit maxval 255, got {maxval}")
-    from .vital import IMAGE_SIZE
-
     if (w, h) != (IMAGE_SIZE, IMAGE_SIZE):
         raise FormatError(f"{path}: expected {IMAGE_SIZE}x{IMAGE_SIZE}, got {w}x{h}")
     pixels = data[offset : offset + w * h * 3]
@@ -437,15 +333,6 @@ def read_ppm(
     for file_idx, modality in enumerate(order):
         planes[MODALITIES.index(modality)] = arr[:, :, file_idx]
     return MultimodalImage(planes)
-
-
-def _check_channel_order(order: Sequence[str]) -> tuple[str, ...]:
-    order = tuple(order)
-    if sorted(order) != sorted(MODALITIES):
-        raise ContractViolation(
-            f"channel order must be a permutation of {MODALITIES}, got {order}"
-        )
-    return order
 
 
 def _ppm_header_fields(path, data: bytes) -> tuple[list[bytes], int]:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ContractViolation, NumericFault
 from .losses import BBox
 from .nncore import (
-    Activation,
     AttentionParams,
     batchnorm_inference,
     conv2d_forward,
@@ -61,8 +60,15 @@ class VitalConfig:
     def token_count(self) -> int:
         return self.patch_side * self.patch_side + 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        if self.patch_side != self.image_size // 8:
+        if min(self.embed_dim, self.ffn_hidden, self.heads) <= 0 or self.encoder_layers < 0:
+            raise ContractViolation(
+                "embed_dim, ffn_hidden and heads must be positive, encoder_layers non-negative"
+            )
+        if self.patch_side <= 0 or self.patch_side != self.image_size // 8:
             raise ContractViolation("patch side must equal image_size / 2^3 (three poolings)")
         if self.token_dim % self.heads != 0:
             raise ContractViolation(
@@ -90,10 +96,6 @@ class MultimodalImage:
             raise ContractViolation("image planes must be finite")
         if self.planes.min() < 0.0 or self.planes.max() > 1.0:
             raise ContractViolation("image values must lie in [0,1]")
-
-    @classmethod
-    def from_planes(cls, visual, thermal, lidar) -> "MultimodalImage":
-        return cls(np.stack([visual, thermal, lidar]).astype(np.float32))
 
     @property
     def visual(self) -> np.ndarray:
@@ -188,37 +190,37 @@ class VitalWeights:
     head_box: Optional[HeadWeights] = None
 
 
-def _init_conv(rng: Rng, c_out: int, c_in: int, k: int) -> ConvParams:
-    fan_in = c_in * k * k
-    std = np.sqrt(2.0 / fan_in)
-    kernels = rng.normal(size=(c_out, c_in, k, k), std=std).astype(np.float32)
-    return ConvParams(kernels, np.zeros(c_out, dtype=np.float32))
-
-
-def _init_bn(c: int) -> BatchNormParams:
-    return BatchNormParams(
-        gamma=np.ones(c, dtype=np.float32),
-        beta=np.zeros(c, dtype=np.float32),
-        mean=np.zeros(c, dtype=np.float32),
-        var=np.ones(c, dtype=np.float32),
-    )
-
-
-def _init_linear(rng: Rng, out_dim: int, in_dim: int, activation=Activation.IDENTITY) -> DenseLayer:
-    w = rng.truncated_normal((out_dim, in_dim), std=0.02).astype(np.float32)
-    return DenseLayer(w, np.zeros(out_dim, dtype=np.float32), activation)
-
-
-def _init_ln(dim: int) -> LayerNormParams:
-    return LayerNormParams(np.ones(dim, dtype=np.float32), np.zeros(dim, dtype=np.float32))
-
-
-def init_weights(config: VitalConfig, seed: int) -> VitalWeights:
-    """Deterministic random weights: truncated normal (std 0.02) for
-    embeddings and projections, fan-in-scaled normals for convolutions."""
-    config.validate()
-    rng = Rng(seed)
+def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
+    """The weight tree for ``config``: biases, shifts and BN means start at 0
+    and scales and BN variances at 1. Convolution kernels are fan-in-scaled
+    normals and every other matrix a truncated normal (std 0.02), drawn from
+    ``rng`` in tree order, or left uninitialized when ``rng`` is None."""
     d = config.token_dim
+
+    def draw(shape: tuple, std: Optional[float] = None) -> np.ndarray:
+        if rng is None:
+            return np.empty(shape, dtype=np.float32)
+        if std is None:
+            return rng.truncated_normal(shape, std=0.02).astype(np.float32)
+        return rng.normal(size=shape, std=std).astype(np.float32)
+
+    def zeros(n: int) -> np.ndarray:
+        return np.zeros(n, dtype=np.float32)
+
+    def ones(n: int) -> np.ndarray:
+        return np.ones(n, dtype=np.float32)
+
+    def conv(c_out: int, c_in: int, k: int) -> ConvParams:
+        return ConvParams(draw((c_out, c_in, k, k), np.sqrt(2.0 / (c_in * k * k))), zeros(c_out))
+
+    def bn(c: int) -> BatchNormParams:
+        return BatchNormParams(gamma=ones(c), beta=zeros(c), mean=zeros(c), var=ones(c))
+
+    def ln() -> LayerNormParams:
+        return LayerNormParams(ones(d), zeros(d))
+
+    def linear(out_dim: int, in_dim: int) -> DenseLayer:
+        return DenseLayer(draw((out_dim, in_dim)), zeros(out_dim))
 
     stems = {}
     for modality in MODALITIES:
@@ -227,49 +229,37 @@ def init_weights(config: VitalConfig, seed: int) -> VitalWeights:
         for c_out in config.stem_channels:
             blocks.append(
                 StemBlock(
-                    conv1=_init_conv(rng, c_out, c_in, 3),
-                    bn1=_init_bn(c_out),
-                    conv2=_init_conv(rng, c_out, c_out, 3),
-                    bn2=_init_bn(c_out),
-                    residual=_init_conv(rng, c_out, c_in, 1),
+                    conv1=conv(c_out, c_in, 3),
+                    bn1=bn(c_out),
+                    conv2=conv(c_out, c_out, 3),
+                    bn2=bn(c_out),
+                    residual=conv(c_out, c_in, 1),
                 )
             )
             c_in = c_out
-        final = _init_conv(rng, config.embed_dim, c_in, 3)
-        stems[modality] = StemWeights(blocks, final)
+        stems[modality] = StemWeights(blocks, conv(config.embed_dim, c_in, 3))
 
-    class_token = rng.truncated_normal((1, d), std=0.02).astype(np.float32)
-    positional = rng.truncated_normal((config.token_count, d), std=0.02).astype(np.float32)
+    class_token = draw((1, d))
+    positional = draw((config.token_count, d))
 
     encoder = []
     for _ in range(config.encoder_layers):
         attn = AttentionParams(
-            wq=rng.truncated_normal((d, d), std=0.02).astype(np.float32),
-            wk=rng.truncated_normal((d, d), std=0.02).astype(np.float32),
-            wv=rng.truncated_normal((d, d), std=0.02).astype(np.float32),
-            wo=rng.truncated_normal((d, d), std=0.02).astype(np.float32),
-            bq=np.zeros(d, dtype=np.float32),
-            bk=np.zeros(d, dtype=np.float32),
-            bv=np.zeros(d, dtype=np.float32),
-            bo=np.zeros(d, dtype=np.float32),
+            wq=draw((d, d)), wk=draw((d, d)), wv=draw((d, d)), wo=draw((d, d)),
+            bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d),
         )
         encoder.append(
             EncoderLayerWeights(
-                ln_attn=_init_ln(d),
+                ln_attn=ln(),
                 attention=attn,
-                ln_ffn=_init_ln(d),
-                ffn_in=_init_linear(rng, config.ffn_hidden, d),
-                ffn_out=_init_linear(rng, d, config.ffn_hidden),
+                ln_ffn=ln(),
+                ffn_in=linear(config.ffn_hidden, d),
+                ffn_out=linear(d, config.ffn_hidden),
             )
         )
 
     def head(out_dim: int) -> HeadWeights:
-        return HeadWeights(
-            ln_in=_init_ln(d),
-            hidden=_init_linear(rng, d, d),
-            ln_hidden=_init_ln(d),
-            out=_init_linear(rng, out_dim, d),
-        )
+        return HeadWeights(ln_in=ln(), hidden=linear(d, d), ln_hidden=ln(), out=linear(out_dim, d))
 
     return VitalWeights(
         config=config,
@@ -280,6 +270,17 @@ def init_weights(config: VitalConfig, seed: int) -> VitalWeights:
         head_objectness=head(1),
         head_box=head(4),
     )
+
+
+def init_weights(config: VitalConfig, seed: int) -> VitalWeights:
+    """Deterministic random weights for ``config`` under ``seed``."""
+    return _assemble(config, Rng(seed))
+
+
+def empty_weights(config: VitalConfig) -> VitalWeights:
+    """The weight tree for ``config`` with its random tensors uninitialized,
+    for a loader to fill in place."""
+    return _assemble(config, None)
 
 
 def stem_forward(stem: StemWeights, plane: np.ndarray, config: VitalConfig) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from gridlander.persistence import (
     SampleRecord,
     load_dqn_checkpoint,
     read_ppm,
+    save_checkpoint,
     save_dqn_checkpoint,
+    save_vital_checkpoint,
+    vital_tensors,
     write_ppm,
     write_sample_records,
 )
-from gridlander.vital import MultimodalImage
+from gridlander.vital import MultimodalImage, VitalConfig, init_weights
 
 
 def run(capsys, *argv):
@@ -206,6 +210,38 @@ def test_detect_batch_emits_metrics(tmp_path, capsys):
     assert "ap50" in report
     assert "ap50" in stdout
     assert "TPR" in stdout  # table header
+
+
+SMALL_VITAL = VitalConfig(embed_dim=8, encoder_layers=1, ffn_hidden=16, heads=3, stem_channels=(2, 2, 2))
+
+
+def test_detect_with_checkpoint(tmp_path, capsys):
+    ckpt, image = tmp_path / "vital.ckpt", tmp_path / "img.ppm"
+    save_vital_checkpoint(ckpt, init_weights(SMALL_VITAL, 0))
+    write_ppm(image, make_image(3))
+    code, stdout, _ = run(capsys, "detect", "--image", str(image), "--checkpoint", str(ckpt))
+    assert code == 0
+    assert "objectness:" in stdout
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {},
+        {k: v for k, v in asdict(SMALL_VITAL).items() if k != "heads"},
+        {**asdict(SMALL_VITAL), "heads": "6"},
+        {**asdict(SMALL_VITAL), "depth": 2},
+        {**asdict(SMALL_VITAL), "heads": 5},
+    ],
+)
+def test_detect_checkpoint_bad_detector_config_exit_2(tmp_path, capsys, config):
+    # the container is CRC-valid; only the stored detector config is wrong
+    ckpt, image = tmp_path / "vital.ckpt", tmp_path / "img.ppm"
+    save_checkpoint(ckpt, "vital", config, vital_tensors(init_weights(SMALL_VITAL, 0)))
+    write_ppm(image, make_image(3))
+    code, stdout, err = run(capsys, "detect", "--image", str(image), "--checkpoint", str(ckpt))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error:")
 
 
 def test_detect_requires_one_input_mode(capsys):
@@ -404,6 +440,23 @@ def test_config_type_errors_exit_2(tmp_path, capsys, raw):
     code, stdout, err = run(capsys, "--config", str(cfg), "oracle")
     _assert_one_line_usage_error(code, stdout, err)
     assert list(raw)[0] in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"detector": {"heads": 0}},
+        {"detector": {"embed_dim": -6}},
+        {"detector": {"image_size": 4, "patch_side": 0}},
+        {"ppm_channel_order": 5},
+        {"ppm_channel_order": [1, "thermal", "lidar"]},
+        {"ppm_channel_order": ["visual", "visual", "lidar"]},
+    ],
+)
+def test_config_value_errors_exit_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), "oracle"))
 
 
 @pytest.mark.parametrize(

@@ -25,25 +25,13 @@ def test_frame_defaults():
 
 
 def test_centered_box_gives_zero_offsets():
-    du, dv = bbox_to_offsets(BBox(70, 70, 90, 90), FRAME, mode="center")
+    du, dv = bbox_to_offsets(BBox(70, 70, 90, 90), FRAME)
     assert (du, dv) == (0.0, 0.0)
 
 
-def test_halfwidth_mode_is_position_blind():
-    du, dv = bbox_to_offsets(BBox(70, 70, 90, 90), FRAME, mode="halfwidth")
-    assert (du, dv) == (-70.0, -70.0)  # half extent minus center, ignores position
-    moved = BBox(10, 10, 30, 30)
-    assert bbox_to_offsets(moved, FRAME, mode="halfwidth") == (-70.0, -70.0)
-
-
 def test_offcenter_box():
-    du, dv = bbox_to_offsets(BBox(100, 60, 120, 80), FRAME, mode="center")
+    du, dv = bbox_to_offsets(BBox(100, 60, 120, 80), FRAME)
     assert (du, dv) == (30.0, -10.0)
-
-
-def test_unknown_mode():
-    with pytest.raises(ContractViolation):
-        bbox_to_offsets(BBox(0, 0, 1, 1), FRAME, mode="weird")
 
 
 @settings(max_examples=50, deadline=None)

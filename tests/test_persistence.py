@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -228,6 +230,51 @@ def test_vital_checkpoint_roundtrip(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def test_vital_checkpoint_golden_digest(tmp_path):
+    # recorded before the detector weight tree had one builder; pins tensor
+    # order, the config JSON and the random draw order of init_weights
+    path = tmp_path / "vital.ckpt"
+    save_vital_checkpoint(path, init_weights(VitalConfig(), 0))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "36dd922f5ae056c8203ab690e70b5ff361e0e6afe8bd372748f7188fc4f8d9be"
+
+
+def test_vital_checkpoint_roundtrip_small_config(tmp_path):
+    config = VitalConfig(embed_dim=8, encoder_layers=1, ffn_hidden=16, heads=3, stem_channels=(2, 2, 2))
+    weights = init_weights(config, seed=2)
+    path = tmp_path / "small.ckpt"
+    save_vital_checkpoint(path, weights)
+    loaded = load_vital_checkpoint(path)
+    assert loaded.config == config
+    a, b = vital_tensors(weights), vital_tensors(loaded)
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+        assert b[name].flags.writeable, name
+
+
+def test_vital_checkpoint_missing_tensor_schema_error(tmp_path):
+    weights = init_weights(VitalConfig(embed_dim=8, encoder_layers=1, ffn_hidden=16, heads=3), 0)
+    tensors = vital_tensors(weights)
+    del tensors["encoder0.attn.wk"]
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, "vital", asdict(weights.config), tensors)
+    with pytest.raises(SchemaError, match="encoder0.attn.wk"):
+        load_vital_checkpoint(path)
+    tensors["encoder0.attn.wk"] = np.zeros((3, 3), dtype=np.float32)
+    save_checkpoint(path, "vital", asdict(weights.config), tensors)
+    with pytest.raises(SchemaError, match="shape"):
+        load_vital_checkpoint(path)
+
+
+def test_checkpoint_tensors_are_read_only_views(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, "dqn", {}, {"a": np.arange(6, dtype=np.float32).reshape(2, 3)})
+    arr = load_checkpoint(path).tensors["a"]
+    assert arr.shape == (2, 3) and arr.dtype == np.float32
+    assert not arr.flags.writeable
 
 
 def test_checkpoint_rejects_unknown_kind(tmp_path):
