@@ -273,15 +273,16 @@ def _cmd_oracle(args, cfg: AppConfig) -> int:
 def _cmd_perturb(args, cfg: AppConfig) -> int:
     out_dir = Path(args.out)
     perts = _parse_perturbations(args.perturb, args.seed)
-    for image in args.image:
-        if not Path(image).exists():
-            raise ContractViolation(f"image not found: {image}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
+    perturbed = []  # every input is read and perturbed before anything is written
     for image in args.image:
         src = Path(image)
-        img = persistence.read_ppm(src, cfg.channel_order)
-        img, _ = perturb.apply_all(perts, img)
+        if not src.exists():
+            raise ContractViolation(f"image not found: {image}")
+        img, _ = perturb.apply_all(perts, persistence.read_ppm(src, cfg.channel_order))
+        perturbed.append((src, img))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for src, img in perturbed:
         dst = out_dir / src.name
         persistence.write_ppm(dst, img, cfg.channel_order)
         manifest.append(

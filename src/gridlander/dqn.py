@@ -39,7 +39,7 @@ from .nncore import (
     Activation,
     DenseLayer,
     dense_backward,
-    dense_forward,
+    dense_forward,  # unused here; perfbench/tracer.py wraps dqn.dense_forward by name
     dense_preactivation,
 )
 from .rng import Rng
@@ -84,6 +84,11 @@ class QNetwork:
             self._layers64 = _dense_views(self._flat64)
         self._flat64[:] = self.flat
         return self._layers64
+
+
+def empty_qnetwork() -> QNetwork:
+    """A Q-network with uninitialized parameters, for a loader to fill in place."""
+    return QNetwork(_dense_views(np.empty(sum(o * i + o for i, o in QNET_LAYOUT), np.float32)))
 
 
 def init_qnetwork(seed: int) -> QNetwork:
@@ -207,11 +212,9 @@ def _forward_batch(layers: list[DenseLayer], h: np.ndarray):
 
 
 def q_values(net: QNetwork, state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
-    """Five action values in Action enum order."""
-    h = normalize_state(state, env_cfg)
-    for layer in net.layers:
-        h = dense_forward(layer, h)
-    return h
+    """Five action values in Action enum order, through the TD step's forward."""
+    q, _, _ = _forward_batch(net.float64_layers(), normalize_state(state, env_cfg)[None])
+    return q[0]
 
 
 def select_action(

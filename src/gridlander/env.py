@@ -122,11 +122,6 @@ class EnvConfig:
         n = int(math.floor((hi - lo) / self.resolution + 1e-9)) + 1
         return lo + self.resolution * np.arange(n)
 
-    def state_count(self) -> int:
-        return (
-            len(self.axis_values("x")) * len(self.axis_values("y")) * len(self.axis_values("z"))
-        )
-
 
 def inside_zone(state: LanderState, config: EnvConfig) -> bool:
     return state.horizontal_distance() <= config.landing_zone_radius

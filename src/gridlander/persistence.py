@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import build_section, check_channel_order
-from .dqn import EpisodeLog, QNetwork, RewardTrace, init_qnetwork
+from .dqn import EpisodeLog, QNetwork, RewardTrace, empty_qnetwork
 from .errors import ContractViolation
 from .losses import BBox
 from .nncore import DenseLayer
@@ -173,23 +173,6 @@ def qnetwork_tensors(net: QNetwork) -> dict[str, np.ndarray]:
     return out
 
 
-def qnetwork_from_tensors(tensors: dict[str, np.ndarray]) -> QNetwork:
-    template = init_qnetwork(0)
-    layers = []
-    for i, ref in enumerate(template.layers):
-        try:
-            w = tensors[f"layer{i}.weights"]
-            b = tensors[f"layer{i}.bias"]
-        except KeyError as exc:
-            raise SchemaError(f"missing q-network tensor {exc}") from exc
-        if w.shape != ref.weights.shape or b.shape != ref.bias.shape:
-            raise SchemaError(
-                f"layer{i} shape {w.shape}/{b.shape} does not match the q-network layout"
-            )
-        layers.append(DenseLayer(w, b, ref.activation))  # QNetwork copies into its vector
-    return QNetwork(layers)
-
-
 # --- detector weights <-> tensor dict ------------------------------------------
 
 
@@ -256,16 +239,26 @@ def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
     return dict(entries)
 
 
-def vital_from_tensors(config: VitalConfig, tensors: dict[str, np.ndarray]) -> VitalWeights:
-    """Detector weights for ``config`` copied from checkpoint tensors."""
-    weights = empty_weights(config)
-    for name, arr in vital_tensors(weights).items():
-        src = tensors.get(name)
-        if src is None:
-            raise SchemaError(f"missing detector tensor {name!r}")
+def _fill(model: dict[str, np.ndarray], tensors: dict[str, np.ndarray], kind: str) -> None:
+    """Copy each file tensor into the model array of the same name. The two
+    name sets must be equal and every shape must match."""
+    missing = [name for name in model if name not in tensors]
+    if missing:
+        raise SchemaError(f"missing {kind} tensor {missing[0]!r}")
+    extra = [name for name in tensors if name not in model]
+    if extra:
+        raise SchemaError(f"unexpected {kind} tensor {extra[0]!r}")
+    for name, arr in model.items():
+        src = tensors[name]
         if src.shape != arr.shape:
             raise SchemaError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
         arr[...] = src
+
+
+def vital_from_tensors(config: VitalConfig, tensors: dict[str, np.ndarray]) -> VitalWeights:
+    """Detector weights for ``config`` copied from checkpoint tensors."""
+    weights = empty_weights(config)
+    _fill(vital_tensors(weights), tensors, "detector")
     return weights
 
 
@@ -288,7 +281,9 @@ def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
 
 def load_dqn_checkpoint(path) -> tuple[QNetwork, dict]:
     ckpt = load_checkpoint(path, expect_kind="dqn")
-    return qnetwork_from_tensors(ckpt.tensors), ckpt.config
+    net = empty_qnetwork()
+    _fill(qnetwork_tensors(net), ckpt.tensors, "q-network")
+    return net, ckpt.config
 
 
 # --- PPM image I/O -----------------------------------------------------------

@@ -45,10 +45,12 @@ class Rng:
     def truncated_normal(self, size, std: float, clip: float = 2.0) -> np.ndarray:
         """Normal(0, std) resampled until every entry lies within clip*std."""
         out = np.asarray(self._gen.normal(0.0, std, size))
-        bad = np.abs(out) > clip * std
-        while bad.any():
-            out[bad] = self._gen.normal(0.0, std, int(bad.sum()))
-            bad = np.abs(out) > clip * std
+        flat = out.reshape(-1)  # a view: the generator returns a contiguous array
+        idx = np.flatnonzero(np.abs(flat) > clip * std)
+        while idx.size:  # only the entries just redrawn can still be out of range
+            redrawn = self._gen.normal(0.0, std, idx.size)
+            flat[idx] = redrawn
+            idx = idx[np.abs(redrawn) > clip * std]
         return out
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:

@@ -68,6 +68,8 @@ class VitalConfig:
             raise ContractViolation(
                 "embed_dim, ffn_hidden and heads must be positive, encoder_layers non-negative"
             )
+        if self.image_size != IMAGE_SIZE:
+            raise ContractViolation(f"image_size must be {IMAGE_SIZE}, the fixed frame size")
         if self.patch_side <= 0 or self.patch_side != self.image_size // 8:
             raise ContractViolation("patch side must equal image_size / 2^3 (three poolings)")
         if self.token_dim % self.heads != 0:

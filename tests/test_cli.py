@@ -10,6 +10,7 @@ from gridlander.dqn import init_qnetwork
 from gridlander.persistence import (
     SampleRecord,
     load_dqn_checkpoint,
+    qnetwork_tensors,
     read_ppm,
     save_checkpoint,
     save_dqn_checkpoint,
@@ -163,6 +164,56 @@ def test_eval_needs_checkpoint_or_oracle(capsys):
     assert code == 2
 
 
+# SHA-256 digests recorded from the Q-network forward that chained
+# nncore.dense_forward per layer, before q_values ran through the TD step's
+# batch forward
+EVAL_GOLDEN = {
+    "stdout": "db445ab2bf89764b37b0820ee6cc3ef6326ec02663c3f9c71c5f517d681b0152",
+    "episode_000.csv": "c13aa113f07b4f53974f42a4cdead1ce4f899104ec24308109baec4eec598eed",
+    "episode_001.csv": "3b6fd46625c30b3700dca973d2ddfb2fbe58cd01dbaf171a5beb35836f50c8dc",
+    "episode_002.csv": "070fd92ea2658b6b1ef0b6596e692ad3f9bb97e742d4dbfdbe50640837bd13be",
+    "episode_003.csv": "323aee6202ea2d58e5e87cd4fb09d4d14f1893ec817c417a0075932c72ba4c85",
+    "episode_004.csv": "e63af088343be59412661c298117e359465d2d2cc277a34c02ab10f8adff0e13",
+    "episode_005.csv": "ae7d8110010b17fb8ca28c49b53a4650c165dfa2f90edbe054a83967f4f426d0",
+    "episode_006.csv": "aa3efbbc5fa0417a95dfc452ecf986f2212e899b951a35b878b2ac62c603dc4f",
+    "episode_007.csv": "6ac9aeab2edb823924a6438ca6f784b01950f25f27bd00c76ccd3a902c527bf0",
+    "episode_008.csv": "0487da0031bb66dc4ed121ee87960c4137f7acfd22f1aa53e577dbb00edce265",
+    "episode_009.csv": "4508ed5f8d6e37430ee04de619206a48487fd098f911fb91536e0b64ee335534",
+    "episode_010.csv": "6a967ddaf2b9d5d623f925907a719c56aad853615ea96e097816d64a61cba8ab",
+    "episode_011.csv": "e886d8252baf503bd22edf8fe7071e745e2ad7d7359f82f1c9a5739c12a489f9",
+    "episode_012.csv": "7eca7d68909481682486fa0ab368546c34342532f597caf055cf389eec17d2bb",
+    "episode_013.csv": "322ee5583a512535d41ad19084c6d3ed17fe862f2bac43faa54c82386ffdc032",
+    "episode_014.csv": "497c1f9544c7fd04237c8ffbae36f1066dc0af987bc2bcabc06a5b4dda4f1ed2",
+    "episode_015.csv": "257d03bfab81336ead2af50ee3b6330010e8d4451c18c8d818836c19aeadfbb1",
+    "episode_016.csv": "be202f937b8985af14d7bd04d1770cd465f58611004afe4473b7b49a1ccfaf13",
+    "episode_017.csv": "7d4e5b48d66e4669e4a194ac8db4090c0fef76ce99adc19909f64bd9ce26c16a",
+    "episode_018.csv": "84e26f9d85fe05c9ecacd08187a8483053e55e35bdb8a527be898459df03a269",
+    "episode_019.csv": "0076aef977d820ea75b90de947c63789e1f41aae93b1a8bd5a69f9648032246c",
+    "trajectories_xy.svg": "fda5b014acf483aedf57189c5baacf442eba51fe309757cc11560de807218426",
+    "trajectories_xz.svg": "61537ef66cfc64b5dc88d704a802226a7545e592489120ed914432edf8613d04",
+}
+
+
+def test_eval_checkpoint_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --out keeps the "traces in" line fixed
+    save_dqn_checkpoint("q5.ckpt", init_qnetwork(5), {})
+    code, stdout, _ = run(capsys, "--seed", "3", "eval", "--checkpoint", "q5.ckpt",
+                          "--episodes", "20", "--out", "out")
+    assert code == 0
+    digest = lambda blob: hashlib.sha256(blob).hexdigest()
+    found = {p.name: digest(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
+    assert {"stdout": digest(stdout.encode()), **found} == EVAL_GOLDEN
+
+
+def test_eval_checkpoint_extra_tensor_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "dqn.ckpt"
+    tensors = {**qnetwork_tensors(init_qnetwork(0)), "layer4.weights": np.zeros((5, 5), np.float32)}
+    save_checkpoint(ckpt, "dqn", {}, tensors)
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--episodes", "1")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "layer4.weights" in err
+
+
 # --- detect ------------------------------------------------------------------
 
 
@@ -244,6 +295,17 @@ def test_detect_checkpoint_bad_detector_config_exit_2(tmp_path, capsys, config):
     assert err.startswith("error:")
 
 
+def test_detect_checkpoint_extra_tensor_exit_2(tmp_path, capsys):
+    ckpt, image = tmp_path / "vital.ckpt", tmp_path / "img.ppm"
+    weights = init_weights(SMALL_VITAL, 0)
+    tensors = {**vital_tensors(weights), "encoder1.attn.wq": np.zeros((6, 6), np.float32)}
+    save_checkpoint(ckpt, "vital", asdict(SMALL_VITAL), tensors)
+    write_ppm(image, make_image(3))
+    code, stdout, err = run(capsys, "detect", "--image", str(image), "--checkpoint", str(ckpt))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "encoder1.attn.wq" in err
+
+
 def test_detect_requires_one_input_mode(capsys):
     code, _, _ = run(capsys, "detect")
     assert code == 2
@@ -305,6 +367,14 @@ def test_detect_batch_without_labels_lists_detections(tmp_path, capsys):
     assert code == 0
     assert stdout.count("objectness") == 2
     assert "TPR" not in stdout  # no ground truth, no metrics table
+
+
+def test_bench_rejects_image_size_other_than_frame(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"detector": {"image_size": 80, "patch_side": 10}}))
+    code, stdout, err = run(capsys, "--config", str(cfg), "bench", "--iters", "1")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error:") and "image_size" in err
 
 
 def test_bench_rejects_bad_iters(capsys):
@@ -378,6 +448,18 @@ def test_perturb_invalid_spec_no_side_effects(tmp_path, capsys):
     )
     assert code == 2
     assert not out.exists()
+
+
+def test_perturb_bad_later_image_writes_nothing(tmp_path, capsys):
+    good, small = tmp_path / "a.ppm", tmp_path / "b.ppm"
+    write_ppm(good, make_image(5))
+    small.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "perturb", "--image", str(good), "--image", str(small),
+                            "--perturb", "fog=0.1,0.5", "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "2x2" in err
+    assert not (out / "a.ppm").exists() and not (out / "manifest.json").exists()
 
 
 # --- config handling ------------------------------------------------------------

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,67 @@ def test_q_values_match_dense_forward_composition():
     for layer in net.layers:
         h = dense_forward(layer, h)
     assert np.abs(q_values(net, s, ENV) - h).max() < 1e-7
+
+
+def q_values_dense_chain(net, state, env_cfg):
+    """The Q-network forward as it was before q_values shared the TD step's
+    batch forward: one nncore.dense_forward per layer on the float32 weights."""
+    h = normalize_state(state, env_cfg)
+    for layer in net.layers:
+        h = dense_forward(layer, h)
+    return h
+
+
+def perturbed_network(seed):
+    """He-initialized weights plus noise on every parameter, biases included."""
+    net = init_qnetwork(seed)
+    net.flat += np.random.default_rng(seed).normal(0.0, 0.05, net.flat.size).astype(np.float32)
+    return net
+
+
+def dense_chain_mismatches(seeds, env_cfg=ENV):
+    """How many (network, state) pairs, over the networks
+    ``perturbed_network(seed)`` and every non-terminal cell of ``env_cfg``,
+    give q_values that differ in any bit from the per-layer chain."""
+    mdp = enumerate_mdp(env_cfg)
+    cells = [LanderState(*map(float, row)) for row in mdp.states[mdp.nonterminal_indices]]
+    bad = 0
+    for seed in seeds:
+        net = perturbed_network(seed)
+        for s in cells:
+            new, old = q_values(net, s, env_cfg), q_values_dense_chain(net, s, env_cfg)
+            bad += new.tobytes() != old.tobytes()
+    return bad
+
+
+_OFFSET = st.floats(-6.0, 6.0, allow_nan=False, width=32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       states=st.lists(st.tuples(_OFFSET, _OFFSET, st.floats(0.0, 8.0, width=32)),
+                       min_size=1, max_size=20))
+def test_q_values_equal_dense_chain_bitwise(seed, states):
+    net = perturbed_network(seed)
+    for dx, dy, dz in states:
+        s = LanderState(dx, dy, dz)
+        new, old = q_values(net, s, ENV), q_values_dense_chain(net, s, ENV)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes(), (seed, s)
+
+
+def test_q_values_equal_dense_chain_bitwise_one_blas_thread():
+    # the BLAS kernel a mat-vec and a one-row GEMM take can depend on the
+    # thread count, which is fixed when numpy loads: hence a new process
+    code = "import test_dqn; print(test_dqn.dense_chain_mismatches(range(5)))"
+    tests_dir = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])}
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, cwd=tests_dir,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
 
 
 def test_normalize_state_scaling():

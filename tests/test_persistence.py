@@ -113,6 +113,14 @@ def test_dqn_checkpoint_shape_schema(tmp_path):
         load_dqn_checkpoint(path)
 
 
+def test_dqn_checkpoint_extra_tensor_schema_error(tmp_path):
+    tensors = {**qnetwork_tensors(init_qnetwork(4)), "layer4.bias": np.zeros(5, np.float32)}
+    path = tmp_path / "extra.ckpt"
+    save_checkpoint(path, "dqn", {}, tensors)
+    with pytest.raises(SchemaError, match="layer4.bias"):
+        load_dqn_checkpoint(path)
+
+
 def _with_header(data: bytes, header) -> bytes:
     """The checkpoint ``data`` with its JSON header replaced (header length kept
     consistent; the CRC covers only the payload, so it still matches)."""
@@ -266,6 +274,16 @@ def test_vital_checkpoint_missing_tensor_schema_error(tmp_path):
     tensors["encoder0.attn.wk"] = np.zeros((3, 3), dtype=np.float32)
     save_checkpoint(path, "vital", asdict(weights.config), tensors)
     with pytest.raises(SchemaError, match="shape"):
+        load_vital_checkpoint(path)
+
+
+def test_vital_checkpoint_extra_tensor_schema_error(tmp_path):
+    # a 2-layer detector's tensors under a 1-layer config
+    config = VitalConfig(embed_dim=8, encoder_layers=2, ffn_hidden=16, heads=3)
+    weights = init_weights(config, 0)
+    path = tmp_path / "extra.ckpt"
+    save_checkpoint(path, "vital", {**asdict(config), "encoder_layers": 1}, vital_tensors(weights))
+    with pytest.raises(SchemaError, match="encoder1.ln_attn.gamma"):
         load_vital_checkpoint(path)
 
 
