@@ -95,8 +95,6 @@ def _load_weights_or_random(checkpoint, cfg: AppConfig, seed: int):
 def _cmd_train(args, cfg: AppConfig) -> int:
     train_cfg = cfg.train
     if args.episodes is not None:
-        if args.episodes < 1:
-            raise ContractViolation("--episodes must be positive")
         train_cfg = replace(train_cfg, episodes=args.episodes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,8 +118,6 @@ def _cmd_train(args, cfg: AppConfig) -> int:
 
 
 def _cmd_eval(args, cfg: AppConfig) -> int:
-    if args.episodes < 1:
-        raise ContractViolation("evaluation needs at least one episode")
     env_cfg = cfg.env
     if not args.oracle:
         if not args.checkpoint:
@@ -133,8 +129,6 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
         env_cfg = replace(env_cfg, wind_probability=args.wind)
 
     if args.oracle:
-        if env_cfg.wind_probability > 0.0:
-            raise ContractViolation("the tabular oracle needs wind disabled")
         mdp = enumerate_mdp(env_cfg)
         solution = tabular.value_iteration(mdp, cfg.train.gamma)
         policy = lambda s: dqn.Action(int(solution.policy[mdp.row_of(s)]))
@@ -168,29 +162,22 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
     weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
     perts = _parse_perturbations(args.perturb, args.seed)
 
-    if args.image:
-        path = Path(args.image)
-        if not path.exists():
-            raise ContractViolation(f"image not found: {path}")
-        img = persistence.read_ppm(path, cfg.channel_order)
-        img, _ = perturb.apply_all(perts, img)
-        det = vital_detect(img, weights)
-        b = det.bbox
-        print(f"objectness: {det.objectness:.4f}")
-        print(f"bbox: {b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}")
-        return EXIT_OK
-
-    batch_dir = Path(args.batch)
-    if not batch_dir.is_dir():
-        raise ContractViolation(f"batch directory not found: {batch_dir}")
-    labels_path = batch_dir / "labels.csv"
-    if labels_path.exists():
-        records = persistence.read_sample_records(labels_path)
-        paths_and_truths = [(batch_dir / r.image_path, r.truth) for r in records]
+    labelled = False
+    if args.image:  # a batch of one, reported in its own two-line form
+        paths_and_truths = [(Path(args.image), None)]
     else:
-        paths_and_truths = [(p, None) for p in sorted(batch_dir.glob("*.ppm"))]
-        if not paths_and_truths:
-            raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
+        batch_dir = Path(args.batch)
+        if not batch_dir.is_dir():
+            raise ContractViolation(f"batch directory not found: {batch_dir}")
+        labels_path = batch_dir / "labels.csv"
+        labelled = labels_path.exists()
+        if labelled:
+            records = persistence.read_sample_records(labels_path)
+            paths_and_truths = [(batch_dir / r.image_path, r.truth) for r in records]
+        else:
+            paths_and_truths = [(p, None) for p in sorted(batch_dir.glob("*.ppm"))]
+            if not paths_and_truths:
+                raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
     samples = []
     for img_path, truth in paths_and_truths:
         if not img_path.exists():
@@ -199,12 +186,14 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
         img, truth = perturb.apply_all(perts, img, truth)
         det = vital_detect(img, weights)
         b = det.bbox
-        print(
-            f"{img_path.name}: objectness {det.objectness:.4f} "
-            f"bbox {b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}"
-        )
+        box = f"{b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}"
+        if args.image:
+            print(f"objectness: {det.objectness:.4f}")
+            print(f"bbox: {box}")
+        else:
+            print(f"{img_path.name}: objectness {det.objectness:.4f} bbox {box}")
         samples.append(EvalSample(det.objectness, det.bbox, truth))
-    if labels_path.exists():  # metrics need ground truth
+    if labelled:  # metrics need ground truth
         report = metrics.metrics_report(samples)
         print(metrics.format_metrics_table({"batch": report}), end="")
         print(json.dumps(report, sort_keys=True))
@@ -250,15 +239,12 @@ def _cmd_bench(args, cfg: AppConfig) -> int:
 
 
 def _cmd_oracle(args, cfg: AppConfig) -> int:
-    env_cfg = cfg.env
-    if env_cfg.wind_probability > 0.0:
-        raise ContractViolation("the oracle needs wind disabled")
     gamma = args.gamma if args.gamma is not None else cfg.train.gamma
     if not 0.0 <= gamma <= 1.0:
         raise ContractViolation("gamma must lie in [0,1]")
     if args.ql_steps < 1:
         raise ContractViolation("--ql-steps must be positive")
-    mdp = enumerate_mdp(env_cfg)
+    mdp = enumerate_mdp(cfg.env)
     solution = tabular.value_iteration(mdp, gamma)
     success = tabular.success_rate_from_all_starts(mdp, solution.policy)
     q_table = tabular.q_learning(mdp, gamma, alpha=0.1, steps=args.ql_steps)
@@ -271,6 +257,10 @@ def _cmd_oracle(args, cfg: AppConfig) -> int:
 
 
 def _cmd_perturb(args, cfg: AppConfig) -> int:
+    names = [Path(image).name for image in args.image]
+    clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if clash is not None:
+        raise ContractViolation(f"two --image inputs share the file name {clash!r}")
     out_dir = Path(args.out)
     perts = _parse_perturbations(args.perturb, args.seed)
     perturbed = []  # every input is read and perturbed before anything is written

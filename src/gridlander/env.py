@@ -341,7 +341,7 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
     ``resolution``.
     """
     if config.wind_probability > 0.0:
-        raise ContractViolation("enumerate_mdp requires wind disabled")
+        raise ContractViolation("the tabular oracle needs wind disabled")
     xs, ys, zs = (config.axis_values(a) for a in ("x", "y", "z"))
     shape = (len(zs), len(xs), len(ys))
     plane = len(xs) * len(ys)

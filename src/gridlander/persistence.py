@@ -13,7 +13,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,13 +23,8 @@ from .config import build_section, check_channel_order
 from .dqn import EpisodeLog, QNetwork, RewardTrace, empty_qnetwork
 from .errors import ContractViolation
 from .losses import BBox
-from .nncore import DenseLayer
 from .vital import (
-    BatchNormParams,
-    ConvParams,
-    HeadWeights,
     IMAGE_SIZE,
-    LayerNormParams,
     MODALITIES,
     MultimodalImage,
     VitalConfig,
@@ -162,81 +157,51 @@ def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
     return Checkpoint(kind, header.get("config", {}), tensors)
 
 
-# --- DQN network <-> tensor dict -------------------------------------------
+# --- weight trees <-> tensor dicts ---------------------------------------------
+
+# checkpoint names of the weight-tree fields whose own names differ
+_TENSOR_NAMES = {
+    "stems": "stem",
+    "blocks": "block",
+    "final_conv": "final",
+    "attention": "attn",
+    "head_objectness": "head.objectness",
+    "head_box": "head.box",
+}
+
+
+def _named_tensors(node, prefix: str = "") -> dict[str, np.ndarray]:
+    """Every array under ``node`` keyed by its checkpoint name, in checkpoint
+    order: dataclass fields in declaration order (renamed by
+    ``_TENSOR_NAMES``) joined by dots, list items as ``{prefix}{i}`` and dict
+    items as ``{prefix}.{key}``. Other leaves (ints, enums) hold no tensor.
+    The arrays are the tree's own, so writing into them fills the tree."""
+    if isinstance(node, np.ndarray):
+        return {prefix: node}
+    if isinstance(node, list):
+        items = [(f"{prefix}{i}", item) for i, item in enumerate(node)]
+    elif isinstance(node, dict):
+        items = [(f"{prefix}.{key}", item) for key, item in node.items()]
+    elif is_dataclass(node):
+        dot = f"{prefix}." if prefix else ""
+        items = [
+            (dot + _TENSOR_NAMES.get(f.name, f.name), getattr(node, f.name))
+            for f in fields(node)
+        ]
+    else:
+        return {}
+    out: dict[str, np.ndarray] = {}
+    for name, item in items:
+        out.update(_named_tensors(item, name))
+    return out
 
 
 def qnetwork_tensors(net: QNetwork) -> dict[str, np.ndarray]:
-    out = {}
-    for i, layer in enumerate(net.layers):
-        out[f"layer{i}.weights"] = layer.weights
-        out[f"layer{i}.bias"] = layer.bias
-    return out
-
-
-# --- detector weights <-> tensor dict ------------------------------------------
-
-
-def _conv_entries(prefix: str, conv: ConvParams) -> list[tuple[str, np.ndarray]]:
-    return [(f"{prefix}.kernels", conv.kernels), (f"{prefix}.bias", conv.bias)]
-
-
-def _bn_entries(prefix: str, bn: BatchNormParams) -> list[tuple[str, np.ndarray]]:
-    return [
-        (f"{prefix}.gamma", bn.gamma),
-        (f"{prefix}.beta", bn.beta),
-        (f"{prefix}.mean", bn.mean),
-        (f"{prefix}.var", bn.var),
-    ]
-
-
-def _ln_entries(prefix: str, ln: LayerNormParams) -> list[tuple[str, np.ndarray]]:
-    return [(f"{prefix}.gamma", ln.gamma), (f"{prefix}.beta", ln.beta)]
-
-
-def _dense_entries(prefix: str, layer: DenseLayer) -> list[tuple[str, np.ndarray]]:
-    return [(f"{prefix}.weights", layer.weights), (f"{prefix}.bias", layer.bias)]
-
-
-def _head_entries(prefix: str, head: HeadWeights) -> list[tuple[str, np.ndarray]]:
-    out = _ln_entries(f"{prefix}.ln_in", head.ln_in)
-    out += _dense_entries(f"{prefix}.hidden", head.hidden)
-    out += _ln_entries(f"{prefix}.ln_hidden", head.ln_hidden)
-    out += _dense_entries(f"{prefix}.out", head.out)
-    return out
+    return _named_tensors(net.layers, "layer")
 
 
 def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
-    """Every detector tensor under its checkpoint name, in checkpoint order.
-    The arrays are the tree's own, so writing into them fills the tree."""
-    entries: list[tuple[str, np.ndarray]] = []
-    for modality in MODALITIES:
-        stem = weights.stems[modality]
-        for b, block in enumerate(stem.blocks):
-            p = f"stem.{modality}.block{b}"
-            entries += _conv_entries(f"{p}.conv1", block.conv1)
-            entries += _bn_entries(f"{p}.bn1", block.bn1)
-            entries += _conv_entries(f"{p}.conv2", block.conv2)
-            entries += _bn_entries(f"{p}.bn2", block.bn2)
-            entries += _conv_entries(f"{p}.residual", block.residual)
-        entries += _conv_entries(f"stem.{modality}.final", stem.final_conv)
-    entries.append(("class_token", weights.class_token))
-    entries.append(("positional", weights.positional))
-    for i, layer in enumerate(weights.encoder):
-        p = f"encoder{i}"
-        entries += _ln_entries(f"{p}.ln_attn", layer.ln_attn)
-        a = layer.attention
-        entries += [
-            (f"{p}.attn.wq", a.wq), (f"{p}.attn.wk", a.wk),
-            (f"{p}.attn.wv", a.wv), (f"{p}.attn.wo", a.wo),
-            (f"{p}.attn.bq", a.bq), (f"{p}.attn.bk", a.bk),
-            (f"{p}.attn.bv", a.bv), (f"{p}.attn.bo", a.bo),
-        ]
-        entries += _ln_entries(f"{p}.ln_ffn", layer.ln_ffn)
-        entries += _dense_entries(f"{p}.ffn_in", layer.ffn_in)
-        entries += _dense_entries(f"{p}.ffn_out", layer.ffn_out)
-    entries += _head_entries("head.objectness", weights.head_objectness)
-    entries += _head_entries("head.box", weights.head_box)
-    return dict(entries)
+    return _named_tensors(weights)
 
 
 def _fill(model: dict[str, np.ndarray], tensors: dict[str, np.ndarray], kind: str) -> None:

@@ -15,7 +15,7 @@ applied at inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -127,6 +127,8 @@ class Detection:
             raise ContractViolation("objectness must lie in [0,1]")
 
 
+# The weight dataclasses' field order is the checkpoint's tensor order
+# (persistence.vital_tensors walks them), and the golden digest pins it.
 @dataclass
 class ConvParams:
     kernels: np.ndarray  # (Cout, Cin, k, k)
@@ -187,9 +189,9 @@ class VitalWeights:
     stems: dict  # modality name -> StemWeights
     class_token: np.ndarray  # (1, token_dim)
     positional: np.ndarray  # (token_count, token_dim)
-    encoder: list[EncoderLayerWeights] = field(default_factory=list)
-    head_objectness: Optional[HeadWeights] = None
-    head_box: Optional[HeadWeights] = None
+    encoder: list[EncoderLayerWeights]
+    head_objectness: HeadWeights
+    head_box: HeadWeights
 
 
 def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:

@@ -92,6 +92,7 @@ def test_train_invalid_episodes(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--out", str(tmp_path / "x"), "--episodes", "0")
     assert code == 2
     assert "error" in err
+    assert not (tmp_path / "x").exists()
 
 
 # --- eval --------------------------------------------------------------------
@@ -462,6 +463,19 @@ def test_perturb_bad_later_image_writes_nothing(tmp_path, capsys):
     assert not (out / "a.ppm").exists() and not (out / "manifest.json").exists()
 
 
+def test_perturb_rejects_inputs_sharing_a_file_name(tmp_path, capsys):
+    for d in ("x", "y"):
+        (tmp_path / d).mkdir()
+        write_ppm(tmp_path / d / "a.ppm", make_image(5))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "perturb", "--image", str(tmp_path / "x" / "a.ppm"),
+                            "--image", str(tmp_path / "y" / "a.ppm"),
+                            "--perturb", "fog=0.1,0.5", "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error:") and "'a.ppm'" in err
+    assert not out.exists()
+
+
 # --- config handling ------------------------------------------------------------
 
 
@@ -549,6 +563,18 @@ def test_non_finite_env_values_exit_2(tmp_path, capsys, env, command):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"env": env}))  # NaN is written as the bare token NaN
     _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), *command))
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle", "--out"]])
+def test_oracle_with_wind_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    cfg = tmp_path / "windy.json"
+    cfg.write_text(json.dumps({"env": {"wind_probability": 0.5}}))
+    out = tmp_path / "out"
+    argv = [*command, str(out)] if command[-1] == "--out" else command
+    code, stdout, err = run(capsys, "--config", str(cfg), *argv)
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == "error: the tabular oracle needs wind disabled\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])

@@ -33,7 +33,7 @@ from gridlander.persistence import (
     write_reward_trace,
     write_sample_records,
 )
-from gridlander.vital import MultimodalImage, VitalConfig, init_weights
+from gridlander.vital import MODALITIES, MultimodalImage, VitalConfig, empty_weights, init_weights
 
 
 # --- checkpoint container ------------------------------------------------------
@@ -285,6 +285,92 @@ def test_vital_checkpoint_extra_tensor_schema_error(tmp_path):
     save_checkpoint(path, "vital", {**asdict(config), "encoder_layers": 1}, vital_tensors(weights))
     with pytest.raises(SchemaError, match="encoder1.ln_attn.gamma"):
         load_vital_checkpoint(path)
+
+
+# --- tensor naming: the tree walk against the old hand-written tables ----------
+
+
+def _reference_qnetwork_tensors(net):
+    out = {}
+    for i, layer in enumerate(net.layers):
+        out[f"layer{i}.weights"] = layer.weights
+        out[f"layer{i}.bias"] = layer.bias
+    return out
+
+
+def _reference_vital_tensors(weights):
+    def conv(p, c):
+        return [(f"{p}.kernels", c.kernels), (f"{p}.bias", c.bias)]
+
+    def bn(p, b):
+        return [(f"{p}.{k}", getattr(b, k)) for k in ("gamma", "beta", "mean", "var")]
+
+    def ln(p, l):
+        return [(f"{p}.gamma", l.gamma), (f"{p}.beta", l.beta)]
+
+    def dense(p, d):
+        return [(f"{p}.weights", d.weights), (f"{p}.bias", d.bias)]
+
+    def head(p, h):
+        out = ln(f"{p}.ln_in", h.ln_in) + dense(f"{p}.hidden", h.hidden)
+        return out + ln(f"{p}.ln_hidden", h.ln_hidden) + dense(f"{p}.out", h.out)
+
+    entries = []
+    for modality in MODALITIES:
+        stem = weights.stems[modality]
+        for b, block in enumerate(stem.blocks):
+            p = f"stem.{modality}.block{b}"
+            entries += conv(f"{p}.conv1", block.conv1) + bn(f"{p}.bn1", block.bn1)
+            entries += conv(f"{p}.conv2", block.conv2) + bn(f"{p}.bn2", block.bn2)
+            entries += conv(f"{p}.residual", block.residual)
+        entries += conv(f"stem.{modality}.final", stem.final_conv)
+    entries += [("class_token", weights.class_token), ("positional", weights.positional)]
+    for i, layer in enumerate(weights.encoder):
+        p = f"encoder{i}"
+        entries += ln(f"{p}.ln_attn", layer.ln_attn)
+        entries += [(f"{p}.attn.{k}", getattr(layer.attention, k))
+                    for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")]
+        entries += ln(f"{p}.ln_ffn", layer.ln_ffn)
+        entries += dense(f"{p}.ffn_in", layer.ffn_in) + dense(f"{p}.ffn_out", layer.ffn_out)
+    entries += head("head.objectness", weights.head_objectness) + head("head.box", weights.head_box)
+    return dict(entries)
+
+
+def _assert_same_entries(walked, reference):
+    assert list(walked) == list(reference)
+    for name, arr in reference.items():
+        assert walked[name] is arr, name
+
+
+@st.composite
+def _small_vital_configs(draw):
+    embed_dim = draw(st.integers(1, 8))
+    token_dim = 3 * embed_dim
+    heads = draw(st.sampled_from([h for h in range(1, token_dim + 1) if token_dim % h == 0]))
+    return VitalConfig(
+        embed_dim=embed_dim,
+        encoder_layers=draw(st.integers(0, 3)),
+        ffn_hidden=draw(st.integers(1, 8)),
+        heads=heads,
+        stem_channels=tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_small_vital_configs())
+def test_vital_tensor_names_follow_the_weight_tree(config):
+    weights = empty_weights(config)
+    _assert_same_entries(vital_tensors(weights), _reference_vital_tensors(weights))
+
+
+def test_vital_tensor_names_default_config():
+    weights = empty_weights(VitalConfig())
+    _assert_same_entries(vital_tensors(weights), _reference_vital_tensors(weights))
+
+
+def test_qnetwork_tensor_names_follow_the_layers():
+    net = init_qnetwork(0)
+    _assert_same_entries(qnetwork_tensors(net), _reference_qnetwork_tensors(net))
 
 
 def test_checkpoint_tensors_are_read_only_views(tmp_path):
