@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--batch", help="directory with images and a labels.csv")
     p_detect.add_argument("--perturb", action="append", default=[],
                           help="perturbation directive, e.g. disable=lidar,thermal")
-    p_detect.add_argument("--out", help="where to write the metrics report (batch mode)")
+    p_detect.add_argument("--out", help="where to write the metrics report (labelled batch only)")
 
     p_bench = sub.add_parser("bench", parents=[common], help="time detector inference")
     p_bench.add_argument("--checkpoint", help="vital checkpoint (random weights if absent)")
@@ -159,9 +159,6 @@ def _parse_perturbations(specs, seed: int):
 def _cmd_detect(args, cfg: AppConfig) -> int:
     if bool(args.image) == bool(args.batch):
         raise ContractViolation("detect needs exactly one of --image or --batch")
-    weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
-    perts = _parse_perturbations(args.perturb, args.seed)
-
     labelled = False
     if args.image:  # a batch of one, reported in its own two-line form
         paths_and_truths = [(Path(args.image), None)]
@@ -178,6 +175,10 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
             paths_and_truths = [(p, None) for p in sorted(batch_dir.glob("*.ppm"))]
             if not paths_and_truths:
                 raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
+    if args.out and not labelled:
+        raise ContractViolation("--out needs ground truth: a --batch directory with labels.csv")
+    weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
+    perts = _parse_perturbations(args.perturb, args.seed)
     samples = []
     for img_path, truth in paths_and_truths:
         if not img_path.exists():

@@ -30,6 +30,7 @@ from .nncore import (
     DenseLayer,
     gelu,
     layernorm,
+    load_erf,
     maxpool2_forward,
     multihead_attention,
 )
@@ -198,7 +199,11 @@ def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     """The weight tree for ``config``: biases, shifts and BN means start at 0
     and scales and BN variances at 1. Convolution kernels are fan-in-scaled
     normals and every other matrix a truncated normal (std 0.02), drawn from
-    ``rng`` in tree order, or left uninitialized when ``rng`` is None."""
+    ``rng`` in tree order, or left uninitialized when ``rng`` is None.
+    Loads scipy's ``erf`` for the GELU here, so that every process that
+    builds or loads a detector pays that import during its set-up and never
+    inside its first ``detect``."""
+    load_erf()
     d = config.token_dim
 
     def draw(shape: tuple, std: Optional[float] = None) -> np.ndarray:

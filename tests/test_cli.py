@@ -370,6 +370,24 @@ def test_detect_batch_without_labels_lists_detections(tmp_path, capsys):
     assert "TPR" not in stdout  # no ground truth, no metrics table
 
 
+@pytest.mark.parametrize("mode", ["--image", "--batch"])
+def test_detect_out_without_ground_truth_exit_2(tmp_path, capsys, mode):
+    """--out needs a labelled batch: with --image, or a batch without
+    labels.csv, detect exits 2 before it loads weights or writes a file."""
+    image = tmp_path / "img_0.ppm"
+    write_ppm(image, make_image(40))
+    out_json = tmp_path / "metrics.json"
+    target = image if mode == "--image" else tmp_path  # a batch with no labels.csv
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run(
+        capsys, "detect", mode, str(target), "--checkpoint", str(tmp_path / "missing.ckpt"),
+        "--out", str(out_json),
+    )
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error: --out needs ground truth")  # not the missing checkpoint
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_bench_rejects_image_size_other_than_frame(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"detector": {"image_size": 80, "patch_side": 10}}))
