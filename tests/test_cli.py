@@ -596,6 +596,16 @@ def test_oracle_with_wind_exits_2_and_writes_nothing(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
+def test_oracle_without_start_altitudes_exits_2(tmp_path, capsys, command):
+    # one layer at 1 m: the grid is valid, but no start lies at 2 m or above
+    cfg = tmp_path / "low.json"
+    cfg.write_text(json.dumps({"env": {"z_range": [0.0, 1.0]}}))
+    code, stdout, err = run(capsys, "--config", str(cfg), *command)
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == "error: no eligible start altitudes\n"
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
 def test_grid_too_large_to_allocate_exits_1(tmp_path, capsys, command):
     # 2e15 cells per axis: numpy refuses the allocation at once
     cfg = tmp_path / "huge.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -631,6 +632,98 @@ def test_oracle_tables_match_recorded_digests(mdp):
     assert digest(vi90.q) == "8a3505c3781807cdaa0c73bbc3185dcf947da189080e0745b35918a8ddaa5780"
     q = q_learning(mdp, gamma=0.9, alpha=0.1, steps=100_000)
     assert digest(q) == "dbd840a9e69910b0086e47956dd426e72677eff182b32048e3a745d15307cfee"
+
+
+def q_learning_per_cell(mdp, gamma, alpha=0.1, steps=100000):
+    """The row-by-row Gauss-Seidel sweep that ``q_learning`` runs wave by wave."""
+    x, y, z = mdp.states[mdp.nonterminal_indices].T
+    order = np.lexsort((y, x, np.abs(x) + np.abs(y), z)).tolist()
+    q = [[0.0] * 5 for _ in order]
+    done = 0
+    while done < steps and order:
+        for i in order:
+            q_i = q[i]
+            rewards = mdp.rewards[i].tolist()
+            next_rows = mdp.next_row[i].tolist()
+            for a in range(5):
+                j = next_rows[a]
+                target = rewards[a] if j < 0 else rewards[a] + gamma * max(q[j])
+                q_i[a] = (1.0 - alpha) * q_i[a] + alpha * target
+                done += 1
+                if done >= steps:
+                    return np.array(q, dtype=np.float64).reshape(-1, 5)
+    return np.array(q, dtype=np.float64).reshape(-1, 5)
+
+
+@st.composite
+def oracle_grids(draw):
+    res = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    cells = st.integers(0, 3)  # cells on each side of 0; 0 and 0 is a 1-cell axis
+    return EnvConfig(
+        x_range=(-draw(cells) * res, draw(cells) * res),
+        y_range=(-draw(cells) * res, draw(cells) * res),
+        z_range=(0.0, draw(st.integers(1, 4)) * res),
+        resolution=res,
+        k_weights=draw(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3)),
+        landing_zone_radius=draw(st.floats(0.0, 3.0)),
+        boundary_mode=draw(st.sampled_from(["clamp", "crash"])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=oracle_grids(),
+    gamma=st.sampled_from([0.0, 0.9, 1.0]),
+    alpha=st.sampled_from([0.1, 1.0]),
+    # steps = int(per_row * n) + extra: none, a few, one sweep +-, or up to 40n
+    budget=st.one_of(
+        st.sampled_from([(0, -3), (0, 0), (0, 1), (0, 4), (5, -1), (5, 0), (5, 3)]),
+        st.tuples(st.floats(0.0, 40.0), st.just(1)),
+    ),
+)
+def test_q_learning_equals_per_cell_sweep_bitwise(cfg, gamma, alpha, budget):
+    mdp = enumerate_mdp(cfg)
+    per_row, extra = budget
+    steps = int(per_row * mdp.n_nonterminal) + extra
+    expected = q_learning_per_cell(mdp, gamma, alpha, steps)
+    q = q_learning(mdp, gamma, alpha, steps)
+    assert q.shape == expected.shape and q.flags.c_contiguous
+    assert q.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=oracle_grids(), seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.9, 1.0]),
+       sweeps=st.floats(0.0, 6.0))
+def test_q_learning_equals_per_cell_sweep_on_random_tables(cfg, seed, gamma, sweeps):
+    # On a grid every later successor lies in a later wave, because the way
+    # back is an earlier successor. Random successors break that, so rows
+    # read later successors that an earlier wave of this sweep has updated.
+    mdp = enumerate_mdp(cfg)
+    n = mdp.n_nonterminal
+    rng = np.random.default_rng(seed)
+    next_row = rng.integers(-1, n, (n, 5))
+    next_row = np.where(rng.random((n, 5)) < 0.1, np.arange(n)[:, None], next_row)
+    mdp = dataclasses.replace(mdp, next_row=next_row, rewards=rng.normal(0.0, 100.0, (n, 5)))
+    steps = int(sweeps * 5 * n) + 1
+    expected = q_learning_per_cell(mdp, gamma, 0.3, steps)
+    assert q_learning(mdp, gamma, 0.3, steps).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("boundary_mode", ["clamp", "crash"])
+def test_q_learning_equals_per_cell_sweep_on_benchmark_grid(boundary_mode):
+    # 25x25x17 cells: 40 waves, and self-loops along every wall under clamp
+    cfg = EnvConfig(x_range=(-12.0, 12.0), y_range=(-12.0, 12.0), z_range=(0.0, 16.0),
+                    boundary_mode=boundary_mode)
+    mdp = enumerate_mdp(cfg)
+    steps = 2 * 5 * mdp.n_nonterminal + 7
+    expected = q_learning_per_cell(mdp, 0.9, 0.1, steps)
+    assert q_learning(mdp, 0.9, 0.1, steps).tobytes() == expected.tobytes()
+
+
+def test_success_rate_needs_an_eligible_start():
+    mdp = enumerate_mdp(EnvConfig(z_range=(0.0, 1.0)))
+    with pytest.raises(ContractViolation, match="no eligible start altitudes"):
+        success_rate_from_all_starts(mdp, np.zeros(mdp.n_nonterminal, dtype=np.int64))
 
 
 @pytest.mark.parametrize("boundary_mode", ["clamp", "crash"])
