@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a trained agent")
     p_eval.add_argument("--checkpoint", help="dqn checkpoint path")
     p_eval.add_argument("--oracle", action="store_true",
-                        help="roll the value-iteration policy instead of a checkpoint")
+                        help="roll the value-iteration policy out on the tabulated windless"
+                             " MDP instead of a checkpoint")
     p_eval.add_argument("--episodes", type=int, default=100)
     p_eval.add_argument("--wind", type=float, help="override wind probability")
     p_eval.add_argument("--out", help="directory for traces and plots")
@@ -131,8 +132,7 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
     if args.oracle:
         mdp = enumerate_mdp(env_cfg)
         solution = tabular.value_iteration(mdp, cfg.train.gamma)
-        policy = lambda s: dqn.Action(int(solution.policy[mdp.row_of(s)]))
-        result = dqn.evaluate_policy(policy, env_cfg, args.episodes, args.seed)
+        result = tabular.evaluate_on_table(mdp, solution.policy, args.episodes, args.seed)
     else:
         result = dqn.evaluate(net, env_cfg, args.episodes, args.seed)
 

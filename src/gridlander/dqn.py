@@ -456,7 +456,11 @@ def evaluate_policy(
     if episodes < 1:
         raise ContractViolation("evaluation needs at least one episode")
     env = LandingEnv(env_cfg, Rng(seed).derive(1))
-    logs = [rollout(policy, env) for _ in range(episodes)]
+    return summarize_episodes([rollout(policy, env) for _ in range(episodes)])
+
+
+def summarize_episodes(logs: list[EpisodeLog]) -> EvalResult:
+    """Success rate, mean return and mean touchdown deviation of the episodes."""
     successes = sum(1 for l in logs if l.terminal is Terminal.LANDED_SUCCESS)
     deviations = [
         l.final_state.horizontal_distance()
@@ -464,7 +468,7 @@ def evaluate_policy(
         if l.terminal in (Terminal.LANDED_SUCCESS, Terminal.LANDED_OUTSIDE)
     ]
     return EvalResult(
-        success_rate=successes / episodes,
+        success_rate=successes / len(logs),
         mean_return=float(np.mean([l.total_reward for l in logs])),
         mean_final_deviation_m=float(np.mean(deviations)) if deviations else float("nan"),
         traces=logs,

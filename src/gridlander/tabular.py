@@ -8,11 +8,12 @@ information propagates backward from the pad within few sweeps. Each
 sweep runs as one vector update per wave of rows and action, bit for bit
 the row-by-row Gauss-Seidel sweep (see ``q_learning``).
 
-Every solver reads the table's successor rows directly. The all-starts
-success rate steps every eligible start at once on the table, under the
-terminal rules of ``policy_rollout``, which follows one start on the live
-``transition`` dynamics and is the reference the table rollout is tested
-against.
+Every solver reads the table's successor rows directly. One lockstep
+rollout on the table steps many starts at once: every eligible start for
+the all-starts success rate, and seeded random starts for
+``evaluate_on_table``, which ``eval --oracle`` runs. It keeps the terminal
+rules of ``policy_rollout`` and ``LandingEnv.step``, the live rollouts it is
+tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import Action, LanderState, MdpTable, Terminal, transition
+from .dqn import EpisodeLog, EpisodeStep, EvalResult, summarize_episodes
+from .env import Action, LanderState, MdpTable, Terminal, reset_state, transition
 from .errors import ContractViolation
+from .rng import Rng
 
 
 @dataclass
@@ -35,41 +38,36 @@ class TabularSolution:
 
 
 def value_iteration(mdp: MdpTable, gamma: float, tol: float = 1e-9, max_sweeps: int = 200000):
-    """Sweep Bellman optimality backups until the sup-norm residual < tol."""
-    next_rows = mdp.next_row
-    cont = next_rows >= 0
-    values = np.zeros(mdp.n_nonterminal, dtype=np.float64)
-    sweeps = 0
-    while sweeps < max_sweeps:
-        q = mdp.rewards + gamma * np.where(cont, values[next_rows], 0.0)
-        new_values = q.max(axis=1)
-        delta = np.abs(new_values - values).max()
-        values = new_values
-        sweeps += 1
-        if delta < tol:
-            break
-    q = mdp.rewards + gamma * np.where(cont, values[next_rows], 0.0)
-    policy = q.argmax(axis=1)
-    return TabularSolution(values=values, q=q, policy=policy, sweeps=sweeps)
+    """Sweep Bellman optimality backups until the sup-norm residual < tol.
 
-
-def policy_evaluation(
-    mdp: MdpTable, policy: np.ndarray, gamma: float, tol: float = 1e-12, max_sweeps: int = 200000
-) -> np.ndarray:
-    """Iterative evaluation of a deterministic policy on the table."""
+    Each sweep is a Jacobi backup over action-major (5, n) copies of the
+    table, so the maximum over actions is an elementwise maximum of five
+    rows. Terminal moves gather the 0.0 padded at index n of the values,
+    which gives r + g * 0.0, the same bits as a masked backup. The
+    returned q is a transposed view of the action-major table.
+    """
     n = mdp.n_nonterminal
-    rows = np.arange(n)
-    r_pi = mdp.rewards[rows, policy]
-    next_pi = mdp.next_row[rows, policy]
-    cont_pi = next_pi >= 0
-    values = np.zeros(n, dtype=np.float64)
-    for _ in range(max_sweeps):
-        new_values = r_pi + gamma * np.where(cont_pi, values[next_pi], 0.0)
-        delta = np.abs(new_values - values).max()
-        values = new_values
-        if delta < tol:
+    src = mdp.next_row.T.copy()
+    src[src < 0] = n
+    rewards = mdp.rewards.T.copy()
+    padded = np.zeros(n + 1, dtype=np.float64)  # values, then the terminal 0.0
+    values = padded[:n]
+    q = np.empty((5, n), dtype=np.float64)
+    new_values = np.empty(n, dtype=np.float64)
+    sweeps, delta = 0, np.inf
+    while True:  # each pass backs q up from the values; the last one is returned
+        np.take(padded, src, out=q, mode="clip")  # every index is valid; "raise" buffers out
+        q *= gamma
+        q += rewards
+        if sweeps >= max_sweeps or delta < tol:
             break
-    return values
+        np.maximum.reduce(q, axis=0, out=new_values)
+        values -= new_values  # |old - new| is |new - old| bit for bit
+        delta = np.abs(values, out=values).max()
+        values[:] = new_values
+        sweeps += 1
+    del src, rewards  # freed before argmax along axis 0 copies q, to keep the peak low
+    return TabularSolution(values=values, q=q.T, policy=q.argmax(axis=0), sweeps=sweeps)
 
 
 def q_learning(mdp: MdpTable, gamma: float, alpha: float = 0.1, steps: int = 100000) -> np.ndarray:
@@ -240,15 +238,74 @@ def success_rate_from_all_starts(
     no cell at ``min_altitude`` or above has no rate.
     """
     rows = np.flatnonzero(mdp.states[mdp.nonterminal_indices, 2] >= min_altitude - 1e-9)
-    total = len(rows)
-    if total == 0:
+    if len(rows) == 0:
         raise ContractViolation("no eligible start altitudes")
-    successes = 0
+    landed = (int(mdp.landed[s.rows, s.actions].sum()) for s in _lockstep(mdp, policy, rows))
+    return sum(landed) / len(rows)
+
+
+def evaluate_on_table(mdp: MdpTable, policy: np.ndarray, episodes: int, seed: int) -> EvalResult:
+    """``dqn.evaluate_policy`` of a tabular policy, rolled out on the table.
+
+    The starts are the ones ``LandingEnv.reset`` draws from the same seed:
+    the table is windless, so ``transition`` would draw nothing between
+    them. Each step's terminal kind follows from its successor: a landing
+    is LANDED_SUCCESS, any other move to the ground layer LANDED_OUTSIDE
+    (only DESCEND reaches it) and any other terminal move OUT_OF_BOUNDS
+    (only horizontal moves leave the grid); a move that ends nothing at
+    step ``max_steps`` is MAX_STEPS, as in ``LandingEnv.step``.
+    """
+    if episodes < 1:
+        raise ContractViolation("evaluation needs at least one episode")
+    rng = Rng(seed).derive(1)
+    starts = [reset_state(mdp.config, rng) for _ in range(episodes)]
+    rows = np.array([mdp.row_of(s) for s in starts], dtype=np.int64)
+    ground = mdp.shape[1] * mdp.shape[2]  # cells below this index lie at dz = 0
+    steps: list[list[EpisodeStep]] = [[] for _ in starts]
+    totals = [0.0] * episodes
+    for i, step in enumerate(_lockstep(mdp, policy, rows)):
+        cells = mdp.next_index[step.rows, step.actions]
+        ended = np.where(
+            mdp.landed[step.rows, step.actions], _SUCCESS,
+            np.where(cells < ground, _OUTSIDE, _OUT_OF_BOUNDS),
+        )
+        running = _MAX_STEPS if i + 1 == mdp.config.max_steps else _NONE
+        kinds = np.where(step.next_rows >= 0, running, ended)
+        for e, state, a, r, k in zip(
+            step.episodes.tolist(), mdp.states[cells].tolist(), step.actions.tolist(),
+            mdp.rewards[step.rows, step.actions].tolist(), kinds.tolist(),
+        ):
+            log = steps[e]
+            log.append(EpisodeStep(len(log), LanderState(*state), _ACTIONS[a], r, _KINDS[k]))
+            totals[e] += r
+    return summarize_episodes([
+        EpisodeLog(start, log, total, log[-1].terminal)
+        for start, log, total in zip(starts, steps, totals)
+    ])
+
+
+_ACTIONS = tuple(Action)
+_KINDS = (Terminal.NONE, Terminal.LANDED_SUCCESS, Terminal.LANDED_OUTSIDE, Terminal.OUT_OF_BOUNDS,
+          Terminal.MAX_STEPS)
+_NONE, _SUCCESS, _OUTSIDE, _OUT_OF_BOUNDS, _MAX_STEPS = range(5)
+
+
+class _Step(NamedTuple):
+    episodes: np.ndarray  # which of the starts are still running
+    rows: np.ndarray  # their table rows
+    actions: np.ndarray  # the policy's action in each
+    next_rows: np.ndarray  # the successor's row, -1 where the move ends the episode
+
+
+def _lockstep(mdp: MdpTable, policy: np.ndarray, rows: np.ndarray):
+    """Step every start row at once on the table, for at most ``max_steps``
+    steps, dropping each as its move ends the episode."""
+    episodes = np.arange(len(rows))
     for _ in range(mdp.config.max_steps):
         actions = policy[rows]
-        successes += int(mdp.landed[rows, actions].sum())
-        rows = mdp.next_row[rows, actions]
-        rows = rows[rows >= 0]
+        next_rows = mdp.next_row[rows, actions]
+        yield _Step(episodes, rows, actions, next_rows)
+        running = next_rows >= 0
+        episodes, rows = episodes[running], next_rows[running]
         if len(rows) == 0:
-            break
-    return successes / total
+            return

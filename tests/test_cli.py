@@ -124,6 +124,36 @@ def test_eval_oracle_policy_full_success(capsys, small_config, tmp_path):
     assert (out / "episode_000.csv").exists()
 
 
+# SHA-256 over `eval --oracle --episodes 30 --out` stdout (without the
+# "traces in" line) and the digest of every file written, recorded from the
+# rollouts that stepped LandingEnv live; the table rollout must reproduce them
+ORACLE_EVAL_GOLDEN = [
+    ({"x_range": [-6, 6], "y_range": [-6, 6], "z_range": [0, 8], "k_weights": [1, 1, 2],
+      "landing_zone_radius": 1.5, "boundary_mode": "clamp"},
+     "6915541de1aa787ef5d70d9ee817b2e8bff960df961b00a0f414a4c6e60d7f5e"),
+    ({"x_range": [-9, 9], "y_range": [-9, 9], "z_range": [0, 12], "k_weights": [2, 2, 1],
+      "boundary_mode": "crash", "max_steps": 14},  # some episodes run out of steps
+     "4c91fdc42da009501ac318283b0a6116c926f5362b4402e6ba55c96386418f41"),
+]
+
+
+@pytest.mark.parametrize("env,expected", ORACLE_EVAL_GOLDEN)
+def test_eval_oracle_outputs_match_recorded_digests(tmp_path, capsys, env, expected):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"env": env, "train": {"gamma": 0.9}}))
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "--config", str(config), "--seed", "7",
+                          "eval", "--oracle", "--episodes", "30", "--out", str(out))
+    assert code == 0
+    lines = [l for l in stdout.splitlines(keepends=True) if not l.startswith("traces in ")]
+    digest = hashlib.sha256("".join(lines).encode())
+    files = sorted(out.iterdir())
+    assert len(files) == 32  # 30 episode traces and two projections
+    for path in files:
+        digest.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    assert digest.hexdigest() == expected
+
+
 def test_eval_checkpoint_roundtrip(tmp_path, capsys, small_config):
     out = tmp_path / "run"
     code, _, _ = run(capsys, "--config", small_config, "--seed", "2",
@@ -409,6 +439,34 @@ def test_oracle_reports_default_grid(capsys):
     assert code == 0
     assert "1521" in stdout
     assert "optimal policy success rate: 1.000" in stdout
+
+
+def test_oracle_commands_never_step_the_live_env(tmp_path, capsys, monkeypatch, small_config):
+    # both oracle commands roll out on the enumerated table; falling back to
+    # live rollouts would change no output, only halve the oracle's speed
+    from gridlander import env, tabular
+
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((env, "transition"), (tabular, "transition"), (env.LandingEnv, "step")):
+        count(owner, name)
+    for argv in (["oracle", "--ql-steps", "1000"],
+                 ["eval", "--oracle", "--episodes", "5", "--out", str(tmp_path / "traces")]):
+        assert run(capsys, "--config", small_config, *argv)[0] == 0
+    assert calls == []
+    # the counters see a live rollout
+    save_dqn_checkpoint(tmp_path / "q.ckpt", init_qnetwork(0), {})
+    assert run(capsys, "eval", "--checkpoint", str(tmp_path / "q.ckpt"), "--episodes", "1")[0] == 0
+    assert {"step", "transition"} <= set(calls)
 
 
 def test_oracle_small_grid_state_count(capsys, small_config):

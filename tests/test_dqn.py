@@ -42,8 +42,8 @@ from gridlander.nncore import (
 )
 from gridlander.rng import Rng
 from gridlander.tabular import (
+    evaluate_on_table,
     greedy_agreement,
-    policy_evaluation,
     policy_rollout,
     q_learning,
     success_rate_from_all_starts,
@@ -605,6 +605,23 @@ def test_value_iteration_gamma_zero_greedy_immediate(mdp):
     assert sol.policy[row] == np.argmax(rewards)
 
 
+def policy_evaluation(mdp, policy, gamma, tol=1e-12, max_sweeps=200000):
+    """Iterative evaluation of a deterministic policy on the table."""
+    n = mdp.n_nonterminal
+    rows = np.arange(n)
+    r_pi = mdp.rewards[rows, policy]
+    next_pi = mdp.next_row[rows, policy]
+    cont_pi = next_pi >= 0
+    values = np.zeros(n, dtype=np.float64)
+    for _ in range(max_sweeps):
+        new_values = r_pi + gamma * np.where(cont_pi, values[next_pi], 0.0)
+        delta = np.abs(new_values - values).max()
+        values = new_values
+        if delta < tol:
+            break
+    return values
+
+
 def test_value_iteration_matches_policy_evaluation(mdp, vi):
     v_pi = policy_evaluation(mdp, vi.policy, gamma=0.99)
     assert np.abs(v_pi - vi.values).max() < 1e-6
@@ -632,6 +649,25 @@ def test_oracle_tables_match_recorded_digests(mdp):
     assert digest(vi90.q) == "8a3505c3781807cdaa0c73bbc3185dcf947da189080e0745b35918a8ddaa5780"
     q = q_learning(mdp, gamma=0.9, alpha=0.1, steps=100_000)
     assert digest(q) == "dbd840a9e69910b0086e47956dd426e72677eff182b32048e3a745d15307cfee"
+
+
+def value_iteration_row_major(mdp, gamma, tol=1e-9, max_sweeps=200000):
+    """The Jacobi sweep over the (n, 5) table that ``value_iteration`` runs
+    action-major."""
+    next_rows = mdp.next_row
+    cont = next_rows >= 0
+    values = np.zeros(mdp.n_nonterminal, dtype=np.float64)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        q = mdp.rewards + gamma * np.where(cont, values[next_rows], 0.0)
+        new_values = q.max(axis=1)
+        delta = np.abs(new_values - values).max()
+        values = new_values
+        sweeps += 1
+        if delta < tol:
+            break
+    q = mdp.rewards + gamma * np.where(cont, values[next_rows], 0.0)
+    return values, q, q.argmax(axis=1), sweeps
 
 
 def q_learning_per_cell(mdp, gamma, alpha=0.1, steps=100000):
@@ -668,6 +704,21 @@ def oracle_grids(draw):
         landing_zone_radius=draw(st.floats(0.0, 3.0)),
         boundary_mode=draw(st.sampled_from(["clamp", "crash"])),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=oracle_grids(), gamma=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       max_sweeps=st.sampled_from([0, 1, 2, 3, 500]))
+def test_value_iteration_equals_row_major_sweep_bitwise(cfg, gamma, max_sweeps):
+    # 500 stands in for the default: at gamma = 1 a grid with a reward cycle
+    # never converges (a radius of a diagonal cell or more, or unequal kx, ky)
+    mdp = enumerate_mdp(cfg)
+    values, q, policy, sweeps = value_iteration_row_major(mdp, gamma, max_sweeps=max_sweeps)
+    sol = value_iteration(mdp, gamma, max_sweeps=max_sweeps)
+    assert sol.sweeps == sweeps
+    for got, expected in ((sol.values, values), (sol.q, q), (sol.policy, policy)):
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -751,6 +802,29 @@ def test_table_rollout_matches_live_rollouts(boundary_mode):
     if boundary_mode == "crash":
         expected_kinds.add(Terminal.OUT_OF_BOUNDS)
     assert expected_kinds <= seen
+
+
+def test_table_evaluation_matches_live_rollouts():
+    seen = set()
+    for boundary_mode in ("clamp", "crash"):
+        for max_steps in (1, 8):
+            cfg = EnvConfig(
+                x_range=(-3.0, 3.0), y_range=(-3.0, 3.0), z_range=(0.0, 5.0),
+                max_steps=max_steps, boundary_mode=boundary_mode,
+            )
+            mdp = enumerate_mdp(cfg)
+            rng = Rng(5)
+            random_policy = np.array([int(rng.integers(5)) for _ in range(mdp.n_nonterminal)])
+            for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
+                live_policy = lambda s: Action(int(policy[mdp.row_of(s)]))
+                for seed in range(4):
+                    table = evaluate_on_table(mdp, policy, 40, seed)
+                    live = evaluate_policy(live_policy, cfg, 40, seed)
+                    # every field, every step: a float's repr round-trips its bits,
+                    # tells -0.0 from 0.0, and compares a nan deviation
+                    assert repr(table) == repr(live)
+                    seen.update(step.terminal for log in table.traces for step in log.steps)
+    assert seen == set(Terminal)
 
 
 def test_greedy_agreement_counts_ties_as_agreement():
