@@ -27,12 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractViolation
 from .rng import Rng
+
+
+START_ALTITUDE = 2.0  # the lowest altitude an episode starts from
 
 
 class Action(int, Enum):
@@ -116,11 +120,24 @@ class EnvConfig:
             raise ContractViolation("wind probability must lie in [0,1]")
         if self.boundary_mode not in ("clamp", "crash"):
             raise ContractViolation("boundary_mode must be 'clamp' or 'crash'")
+        # a bound written -0.0 becomes 0.0, as in enumerate_mdp's states, so
+        # that a move clamped to it never yields -0.0; abs keeps an int 0
+        for name in ("x_range", "y_range", "z_range"):
+            bounds = tuple(abs(v) if v == 0 else v for v in getattr(self, name))
+            object.__setattr__(self, name, bounds)
 
     def axis_values(self, axis: str) -> np.ndarray:
         lo, hi = {"x": self.x_range, "y": self.y_range, "z": self.z_range}[axis]
         n = int(math.floor((hi - lo) / self.resolution + 1e-9)) + 1
         return lo + self.resolution * np.arange(n)
+
+    @cached_property
+    def start_axes(self) -> tuple[list[float], list[float], list[float]]:
+        """The x and y axis values and the z values from ``START_ALTITUDE``
+        up, as floats: the cells ``reset_state`` draws from, built once."""
+        xs, ys, zs = (self.axis_values(a) for a in ("x", "y", "z"))
+        zs = zs[zs >= START_ALTITUDE - 1e-9]
+        return tuple([float(v) for v in axis] for axis in (xs, ys, zs))
 
 
 def inside_zone(state: LanderState, config: EnvConfig) -> bool:
@@ -221,30 +238,15 @@ def transition(
     return StepOutcome(nxt, rew, Terminal.NONE)
 
 
-def reset_state(config: EnvConfig, rng: Rng, min_altitude: float = 2.0) -> LanderState:
-    """Uniform random on-grid start with dz >= min_altitude."""
-    xs = config.axis_values("x")
-    ys = config.axis_values("y")
-    zs = config.axis_values("z")
-    zs = zs[zs >= min_altitude - 1e-9]
-    if len(zs) == 0:
+def reset_state(config: EnvConfig, rng: Rng) -> LanderState:
+    """Uniform random on-grid start with dz >= START_ALTITUDE."""
+    xs, ys, zs = config.start_axes
+    if not zs:
         raise ContractViolation("no eligible start altitudes")
-    x = float(xs[int(rng.integers(len(xs)))])
-    y = float(ys[int(rng.integers(len(ys)))])
-    z = float(zs[int(rng.integers(len(zs)))])
+    x = xs[int(rng.integers(len(xs)))]
+    y = ys[int(rng.integers(len(ys)))]
+    z = zs[int(rng.integers(len(zs)))]
     return LanderState(x, y, z)
-
-
-def eligible_starts(config: EnvConfig, min_altitude: float = 2.0) -> list[LanderState]:
-    """Every on-grid state with dz >= min_altitude, in scan order."""
-    out = []
-    for z in config.axis_values("z"):
-        if z < min_altitude - 1e-9:
-            continue
-        for x in config.axis_values("x"):
-            for y in config.axis_values("y"):
-                out.append(LanderState(float(x), float(y), float(z)))
-    return out
 
 
 class LandingEnv:
@@ -308,11 +310,6 @@ class MdpTable:
     @property
     def n_nonterminal(self) -> int:
         return len(self.nonterminal_indices)
-
-    @property
-    def next_is_terminal(self) -> np.ndarray:
-        """(n, 5) bool: the successor ends the episode."""
-        return self.next_row < 0
 
     def state(self, idx: int) -> LanderState:
         return LanderState(*map(float, self.states[idx]))

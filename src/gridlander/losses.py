@@ -52,9 +52,6 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
-    def translated(self, tx: float, ty: float) -> "BBox":
-        return BBox(self.x_min + tx, self.y_min + ty, self.x_max + tx, self.y_max + ty)
-
     def scaled(self, s: float) -> "BBox":
         return BBox(self.x_min * s, self.y_min * s, self.x_max * s, self.y_max * s)
 

@@ -14,9 +14,13 @@ The ops are dtype-generic: layers built from ``float64`` parameters stay in
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
@@ -34,12 +38,24 @@ class Activation(Enum):
 
 @cache
 def load_erf() -> np.ufunc:
-    """``scipy.special.erf``, imported on the first call. Importing
-    scipy.special costs ~0.3 s and ~19 MB, and only the exact GELU needs it,
-    so processes that never build a detector never load it."""
-    from scipy.special import erf
+    """``scipy.special.erf``, loaded on the first call from the compiled
+    extension that defines it, ``scipy.special._special_ufuncs``.
 
-    return erf
+    The extension is loaded by file path, so the ``scipy.special`` package
+    is never imported: that import costs ~0.25 s and ~20 MB (mostly its
+    array-API layer), the top-level ``scipy`` package and this extension
+    ~16 ms. The loaded module is the one ``scipy.special`` imports later, so
+    the ufunc returned is ``scipy.special.erf`` itself. Only the exact GELU
+    needs it, so processes that never build a detector load no scipy."""
+    import scipy
+
+    name = "scipy.special._special_ufuncs"
+    path = os.path.join(scipy.__path__[0], "special", "_special_ufuncs" + EXTENSION_SUFFIXES[0])
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module.erf
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -273,11 +289,6 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     centered *= gamma
     centered += beta
     return centered.astype(_out_dtype(x, gamma), copy=False)
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax in float64."""
-    return _softmax_rows_inplace(np.array(m, dtype=np.float64))
 
 
 def _softmax_rows_inplace(m: np.ndarray) -> np.ndarray:

@@ -200,9 +200,10 @@ def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     and scales and BN variances at 1. Convolution kernels are fan-in-scaled
     normals and every other matrix a truncated normal (std 0.02), drawn from
     ``rng`` in tree order, or left uninitialized when ``rng`` is None.
-    Loads scipy's ``erf`` for the GELU here, so that every process that
-    builds or loads a detector pays that import during its set-up and never
-    inside its first ``detect``."""
+    Loads the GELU's ``erf`` here (``nncore.load_erf``: scipy's compiled
+    ufunc extension, without the ``scipy.special`` package), so that every
+    process that builds or loads a detector pays that load during its set-up
+    and never inside its first ``detect``."""
     load_erf()
     d = config.token_dim
 

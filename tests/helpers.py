@@ -1,6 +1,9 @@
-"""Shared oracles for the test suite: finite differences and error metrics."""
+"""Shared oracles for the test suite: finite differences, error metrics and
+box translation."""
 
 import numpy as np
+
+from gridlander.losses import BBox
 
 
 def fd_grad(scalar_fn, arr, h=1e-3):
@@ -28,3 +31,8 @@ def rel_err(a, b, floor=1e-6):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def translated(box: BBox, tx: float, ty: float) -> BBox:
+    """``box`` moved by (tx, ty)."""
+    return BBox(box.x_min + tx, box.y_min + ty, box.x_max + tx, box.y_max + ty)

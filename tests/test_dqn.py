@@ -827,6 +827,18 @@ def test_table_evaluation_matches_live_rollouts():
     assert seen == set(Terminal)
 
 
+def test_negative_zero_range_bounds_give_identical_table_and_live_traces():
+    cfg = EnvConfig(x_range=(-2.0, -0.0), y_range=(-0.0, 2.0), z_range=(0.0, 4.0), max_steps=8)
+    assert repr(cfg.x_range) == "(-2.0, 0.0)" and repr(cfg.y_range) == "(0.0, 2.0)"
+    mdp = enumerate_mdp(cfg)
+    rng = Rng(5)
+    policy = np.array([int(rng.integers(5)) for _ in range(mdp.n_nonterminal)])
+    table = evaluate_on_table(mdp, policy, 40, 0)
+    live = evaluate_policy(lambda s: Action(int(policy[mdp.row_of(s)])), cfg, 40, 0)
+    assert repr(table) == repr(live)  # repr tells -0.0 from 0.0
+    assert "-0.0" not in repr(live)
+
+
 def test_greedy_agreement_counts_ties_as_agreement():
     q_opt = np.array([[1.0, 1.0, 0.0]])
     assert greedy_agreement(np.array([[0.0, 5.0, 1.0]]), q_opt) == 1.0

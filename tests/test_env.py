@@ -15,7 +15,6 @@ from gridlander.env import (
     approach_shaping,
     altitude_shaping,
     enumerate_mdp,
-    eligible_starts,
     inside_zone,
     reset_state,
     reward,
@@ -255,6 +254,18 @@ def test_reset_deterministic_under_seed():
     assert seq1 == seq2
 
 
+def eligible_starts(config: EnvConfig) -> list[LanderState]:
+    """Every on-grid state with dz >= 2, in scan order."""
+    out = []
+    for z in config.axis_values("z"):
+        if z < 2.0 - 1e-9:
+            continue
+        for x in config.axis_values("x"):
+            for y in config.axis_values("y"):
+                out.append(LanderState(float(x), float(y), float(z)))
+    return out
+
+
 def test_reset_coverage_of_eligible_cells():
     rng = Rng(11)
     eligible = {tuple(s) for s in eligible_starts(CFG)}
@@ -351,7 +362,7 @@ def test_enumerate_mdp_success_entries_are_400():
             nxt = mdp.state(int(mdp.next_index[row, a]))
             if nxt.dz == 0.0 and inside_zone(nxt, CFG):
                 assert mdp.rewards[row, a] == 400.0
-                assert mdp.next_is_terminal[row, a]
+                assert mdp.next_row[row, a] < 0
                 success += 1
     assert success == 5  # one Descend entry per landing-zone cell
 
@@ -366,7 +377,7 @@ def test_enumerate_mdp_spot_checks_live_step():
         out = transition(state, Action(a), CFG)
         assert tuple(out.next) == tuple(mdp.state(int(mdp.next_index[row, a])))
         assert out.reward == mdp.rewards[row, a]
-        assert (out.terminal is not Terminal.NONE) == bool(mdp.next_is_terminal[row, a])
+        assert (out.terminal is not Terminal.NONE) == bool(mdp.next_row[row, a] < 0)
 
 
 def test_enumerate_mdp_rejects_wind():

@@ -12,6 +12,8 @@ from gridlander.geometry import (
 )
 from gridlander.losses import BBox
 
+from helpers import translated
+
 FRAME = CameraFrame()
 CFG = EnvConfig()
 
@@ -38,7 +40,7 @@ def test_offcenter_box():
 @given(st.floats(min_value=-40, max_value=40, allow_nan=False))
 def test_center_mode_translation_equivariance(t):
     base = BBox(40, 50, 70, 90)
-    moved = base.translated(t, 0.0)
+    moved = translated(base, t, 0.0)
     du0, dv0 = bbox_to_offsets(base, FRAME)
     du1, dv1 = bbox_to_offsets(moved, FRAME)
     assert du1 - du0 == pytest.approx(t, abs=1e-9)

@@ -2,8 +2,12 @@
 
 ``persistence`` imports ``config`` at module level; each must import on its
 own, so that no import order can expose a cycle. scipy is loaded only by a
-process that builds or loads a detector (its exact GELU needs
-``scipy.special.erf``), and then during that build, before any ``detect``.
+process that builds or loads a detector, and then during that build, before
+any ``detect``. Its exact GELU needs ``erf``, which ``nncore.load_erf`` loads
+from scipy's compiled extension ``scipy.special._special_ufuncs`` without
+importing the ``scipy.special`` package; a later ``import scipy.special``
+still works and exposes the same ufunc. The layout test fails if a scipy
+release moves ``erf`` out of that extension.
 """
 
 import os
@@ -60,12 +64,22 @@ def test_commands_without_detector_leave_scipy_unloaded(tmp_path, argv):
     )
 
 
+ERF_ONLY = (
+    "assert 'scipy.special._special_ufuncs' in sys.modules, " + SCIPY_MODULES + "\n"
+    "assert 'scipy.special' not in sys.modules, " + SCIPY_MODULES + "\n"
+)
+LATER_SCIPY_SPECIAL = (
+    "import scipy.special\n"
+    "from gridlander.nncore import load_erf\n"
+    "assert load_erf() is scipy.special.erf\n"
+)
+
+
 def test_detector_build_loads_scipy_before_detect():
     run_fresh(
         "import sys\nfrom gridlander import vital\n"
         f"assert not {SCIPY_MODULES}\n"
-        "vital.init_weights(vital.VitalConfig(), 0)\n"
-        "assert 'scipy.special' in sys.modules"
+        "vital.init_weights(vital.VitalConfig(), 0)\n" + ERF_ONLY + LATER_SCIPY_SPECIAL
     )
 
 
@@ -73,9 +87,20 @@ def test_detector_checkpoint_load_loads_scipy_before_detect(tmp_path):
     config = VitalConfig(embed_dim=8, encoder_layers=1, ffn_hidden=16, heads=3, stem_channels=(2, 2, 2))
     save_vital_checkpoint(tmp_path / "v.ckpt", init_weights(config, 0))
     run_fresh(
-        "import sys\nfrom gridlander import persistence\n"
+        "import sys\nimport numpy as np\nfrom gridlander import persistence, vital\n"
         f"assert not {SCIPY_MODULES}\n"
-        "persistence.load_vital_checkpoint('v.ckpt')\n"
-        "assert 'scipy.special' in sys.modules",
+        "weights = persistence.load_vital_checkpoint('v.ckpt')\n" + ERF_ONLY +
+        f"loaded = {SCIPY_MODULES}\n"
+        "vital.detect(vital.MultimodalImage(np.full((3, 160, 160), 0.5, np.float32)), weights)\n"
+        f"assert {SCIPY_MODULES} == loaded\n" + LATER_SCIPY_SPECIAL,
         cwd=tmp_path,
+    )
+
+
+def test_erf_extension_layout_of_installed_scipy():
+    """``erf`` lives in ``scipy.special._special_ufuncs`` and is the ufunc
+    that ``scipy.special`` exports, also when ``scipy.special`` loads first."""
+    run_fresh(
+        "import sys\nimport scipy.special\nfrom gridlander.nncore import load_erf\n"
+        "assert load_erf() is scipy.special.erf is sys.modules['scipy.special._special_ufuncs'].erf\n"
     )

