@@ -177,12 +177,13 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
                 raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
     if args.out and not labelled:
         raise ContractViolation("--out needs ground truth: a --batch directory with labels.csv")
+    missing = next((p for p, _ in paths_and_truths if not p.exists()), None)
+    if missing is not None:
+        raise ContractViolation(f"image not found: {missing}")
     weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
     perts = _parse_perturbations(args.perturb, args.seed)
     samples = []
     for img_path, truth in paths_and_truths:
-        if not img_path.exists():
-            raise ContractViolation(f"image not found: {img_path}")
         img = persistence.read_ppm(img_path, cfg.channel_order)
         img, truth = perturb.apply_all(perts, img, truth)
         det = vital_detect(img, weights)

@@ -10,12 +10,20 @@ Every other step is rewarded with the difference of a distance-based
 shaping value. The shaping switches scale at the landing-zone boundary:
 outside the zone it spans all three axes, inside it tracks altitude only.
 When the vehicle leaves the zone, the carried previous-shaping value is
-rebased to the full-scale shaping of the state it came from, so that a
-leave/re-enter cycle nets zero reward. With that bookkeeping the per-step
-reward reduces to a pure function of (previous state, next state):
+rebased to the full-scale shaping of the state it came from. With that
+bookkeeping the per-step reward reduces to a pure function of (previous
+state, next state):
 
     both states inside the zone -> altitude shaping difference
     otherwise                   -> full shaping difference
+
+A leave/re-enter cycle stays on one layer, since no action climbs. It nets
+zero reward only when every zone cell with a neighbour outside the zone has
+the same approach shaping kx*dx^2 + ky*dy^2 on its layer. Otherwise a lap
+through the zone collects the approach shaping that its in-zone leg
+skipped, and the optimal policy can circle instead of landing: with
+k_weights (1, 1, 2) and landing_zone_radius 1.5 on the default 13x13x9
+grid, ``eval --oracle --seed 7 --episodes 30`` reports success 0.000.
 
 ``reward`` implements the reduced form; the test suite carries an
 independent step-by-step transcription of the bookkeeping and checks the

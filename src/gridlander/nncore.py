@@ -28,6 +28,8 @@ from .errors import ContractViolation
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# largest float64 patch matrix conv2d_forward builds at once, in bytes
+_IM2COL_BAND_BYTES = 1 << 20
 
 
 class Activation(Enum):
@@ -189,9 +191,10 @@ def conv2d_forward(
     """Cross-correlation of a (C, H, W) tensor with (Cout, C, kh, kw) kernels.
 
     Output spatial size follows floor((H + 2p - k) / s) + 1. Implemented as
-    im2col: the kh*kw shifted views of the padded input are cast straight
-    into one float64 (C*kh*kw, out_h*out_w) patch matrix, which a single
-    float64 GEMM multiplies by the flattened kernels.
+    im2col in bands of output rows: the kh*kw shifted views of the padded
+    input are cast straight into a float64 (C*kh*kw, rows*out_w) patch matrix
+    of at most about ``_IM2COL_BAND_BYTES``, which one float64 GEMM multiplies
+    by the flattened kernels into the band's columns of the output.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -208,23 +211,31 @@ def conv2d_forward(
         raise ContractViolation("kernel larger than padded input")
     out_h = (hp - kh) // stride + 1
     out_w = (wp - kw) // stride + 1
+    if bias is not None:
+        bias = np.asarray(bias)
+        if bias.shape != (cout,):
+            raise ContractViolation("conv bias must have one entry per output channel")
 
     if padding:
         padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     else:
         padded = x
-    # channel-major patch matrix; each assignment casts its view in one pass
-    cols = np.empty((c, kh, kw, out_h, out_w), dtype=np.float64)
-    for u in range(kh):
-        rows = slice(u, u + (out_h - 1) * stride + 1, stride)
-        for v in range(kw):
-            cols[:, u, v] = padded[:, rows, v : v + (out_w - 1) * stride + 1 : stride]
-    cols = cols.reshape(c * kh * kw, out_h * out_w)
-    out = kernels.reshape(cout, c * kh * kw).astype(np.float64, copy=False) @ cols
+    k = c * kh * kw
+    band = min(out_h, max(1, _IM2COL_BAND_BYTES // (8 * k * out_w)))  # output rows per band
+    flat = kernels.reshape(cout, k).astype(np.float64, copy=False)
+    out = np.empty((cout, out_h * out_w), dtype=np.float64)
+    buf = np.empty(k * band * out_w, dtype=np.float64)
+    for r0 in range(0, out_h, band):
+        n = min(band, out_h - r0)
+        # channel-major patch matrix; each assignment casts its view in one pass
+        cols = buf[: k * n * out_w].reshape(c, kh, kw, n, out_w)
+        for u in range(kh):
+            top = r0 * stride + u
+            rows = slice(top, top + (n - 1) * stride + 1, stride)
+            for v in range(kw):
+                cols[:, u, v] = padded[:, rows, v : v + (out_w - 1) * stride + 1 : stride]
+        np.matmul(flat, cols.reshape(k, n * out_w), out=out[:, r0 * out_w : (r0 + n) * out_w])
     if bias is not None:
-        bias = np.asarray(bias)
-        if bias.shape != (cout,):
-            raise ContractViolation("conv bias must have one entry per output channel")
         out += bias[:, None]
     return out.reshape(cout, out_h, out_w).astype(_out_dtype(x, kernels), copy=False)
 
@@ -291,10 +302,18 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     return centered.astype(_out_dtype(x, gamma), copy=False)
 
 
-def _softmax_rows_inplace(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax that overwrites the float64 array ``m`` and returns it."""
-    lo, hi = float(m.min()), float(m.max())
-    if hi > 700.0 or hi - lo > 700.0:
+def _needs_shift(lo: float, hi: float) -> bool:
+    """Whether a softmax over logits spanning [lo, hi] subtracts each row's
+    max before exp(), which would otherwise overflow or underflow whole rows.
+    False when either bound is NaN."""
+    return hi > 700.0 or hi - lo > 700.0
+
+
+def _softmax_rows_inplace(m: np.ndarray, shift: bool) -> np.ndarray:
+    """Row-wise softmax that overwrites the float64 array ``m`` and returns it.
+    ``shift`` is ``_needs_shift`` of the min and max over every logit decided
+    together, which may be more than ``m`` holds."""
+    if shift:
         m -= m.max(axis=-1, keepdims=True)
         # floor far-underflowed logits: exp() on subnormals is very slow
         # on some CPUs
@@ -323,12 +342,22 @@ def multihead_attention(
     params: AttentionParams,
     heads: int,
     return_weights: bool = False,
+    out_rows: int | None = None,
 ):
     """Scaled dot-product attention over (tokens, dim) rows.
 
     Per head: softmax(Q K^T / sqrt(d_head)) V; heads are concatenated and
-    passed through the output projection. With ``return_weights`` the
-    float64 attention maps (heads, tokens, tokens) are returned as well.
+    passed through the output projection. The heads run one at a time through
+    one (tokens, tokens) score buffer, and each writes its context straight
+    into its column slice. Whether the softmax shifts by the row maxima is
+    decided once over every head's scores: the heads run with the decision
+    taken over those scored so far, and start again from the first when a new
+    head's scores change it.
+
+    With ``out_rows`` only the first ``out_rows`` rows of the output are
+    computed; every row's scores are still computed, since they take part in
+    the decision. With ``return_weights`` the float64 attention maps
+    (heads, tokens, tokens) are returned as well; the two do not combine.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -336,7 +365,10 @@ def multihead_attention(
     t, d = tokens.shape
     if d % heads != 0:
         raise ContractViolation(f"token dim {d} not divisible by {heads} heads")
+    if out_rows is not None and (return_weights or not 1 <= out_rows <= t):
+        raise ContractViolation("out_rows must lie in [1, tokens], without return_weights")
     dh = d // heads
+    n = t if out_rows is None else out_rows
     x64 = np.asarray(tokens, dtype=np.float64)
 
     def project(w, b):
@@ -348,15 +380,28 @@ def multihead_attention(
     k = project(params.wk, params.bk)
     v = project(params.wv, params.bv)
     q *= 1.0 / np.sqrt(dh)  # fold the score scale into Q
-    # (heads, tokens, d_head)
-    qh = q.reshape(t, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(t, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(t, heads, dh).transpose(1, 0, 2)
-    attn = _softmax_rows_inplace(qh @ kh.transpose(0, 2, 1))
-    ctx = (attn @ vh).transpose(1, 0, 2).reshape(t, d)
+    maps = np.empty((heads, t, t)) if return_weights else None
+    buf = None if return_weights else np.empty((t, t))
+    ctx = np.empty((n, d))
+    shift = False
+    lo, hi = np.inf, -np.inf  # over the scores of heads [0, scored)
+    h = scored = 0
+    while h < heads:
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = buf if maps is None else maps[h]
+        np.matmul(q[:, cols], k[:, cols].T, out=scores)
+        if h == scored:
+            lo, hi = np.minimum(lo, scores.min()), np.maximum(hi, scores.max())
+            scored += 1
+            if _needs_shift(lo, hi) != shift:
+                shift = not shift
+                h = 0
+                continue
+        np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
+        h += 1
     out = ctx @ params.wo.T.astype(np.float64, copy=False)
     out += params.bo
     out = out.astype(_out_dtype(tokens, params.wo), copy=False)
     if return_weights:
-        return out, attn
+        return out, maps
     return out

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 import zlib
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -35,6 +37,8 @@ from .vital import (
 MAGIC = b"GRIDLANDER-CKPT\x00"
 VERSION = 1
 MODEL_KINDS = ("vital", "dqn")
+_MODEL_NAMES = {"vital": "detector", "dqn": "q-network"}  # in schema errors
+_CRC_CHUNK = 1 << 20  # bytes per read of the checksum pass
 DEFAULT_CHANNEL_ORDER = MODALITIES
 
 
@@ -94,7 +98,8 @@ def _is_count(value) -> bool:
 
 def _header_problem(header, payload_len: int) -> Optional[str]:
     """What makes a decoded header unusable, or None. The CRC covers only
-    the payload, so the header's structure is checked here."""
+    the payload, so the header's structure is checked here: the tensors must
+    lie back to back in header order and fill the payload exactly."""
     if not isinstance(header, dict):
         return "not a JSON object"
     if not isinstance(header.get("config", {}), dict):
@@ -102,59 +107,114 @@ def _header_problem(header, payload_len: int) -> Optional[str]:
     entries = header.get("tensors")
     if not isinstance(entries, list):
         return "tensors is not a list"
+    names = set()
+    end = 0
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             return f"tensor entry {i} has no name"
+        name = entry["name"]
+        if name in names:
+            return f"duplicate tensor name {name!r}"
+        names.add(name)
         shape, offset, length = entry.get("shape"), entry.get("offset"), entry.get("length")
         # 32 dimensions is numpy 1.x's limit for reshape
         if not (isinstance(shape, list) and len(shape) <= 32 and all(map(_is_count, shape))):
-            return f"tensor {entry['name']!r} has a bad shape"
+            return f"tensor {name!r} has a bad shape"
         if not (_is_count(offset) and _is_count(length) and offset + length <= payload_len):
-            return f"tensor {entry['name']!r} lies outside the payload"
+            return f"tensor {name!r} lies outside the payload"
         if length != 4 * math.prod(shape):
-            return f"tensor {entry['name']!r} length does not match its shape"
+            return f"tensor {name!r} length does not match its shape"
+        if offset != end:
+            return f"tensor {name!r} does not start where the previous one ends"
+        end += length
+    if end != payload_len:
+        return "the tensors do not fill the payload"
     return None
 
 
+def _payload_crc(fh, length: int) -> int:
+    """CRC-32 of the next ``length`` bytes of ``fh``, read through one
+    reused buffer of at most ``_CRC_CHUNK`` bytes."""
+    buf = memoryview(bytearray(min(length, _CRC_CHUNK)))
+    crc = 0
+    while length:
+        got = fh.readinto(buf[: min(length, len(buf))])
+        if not got:
+            raise IntegrityError(f"{fh.name}: truncated payload")
+        crc = zlib.crc32(buf[:got], crc)
+        length -= got
+    return crc
+
+
+def _read_checkpoint(path, expect_kind: Optional[str], destination):
+    """The reader behind every checkpoint loader. It checks the magic, the
+    version, the header JSON and the payload CRC (streamed in chunks), then
+    the header's structure and model kind. Only then does
+    ``destination(kind, config, entries)`` run; it returns what the loader
+    returns and the float32 arrays, by tensor name, that the file's tensors
+    must match in name and shape. Each tensor is read straight into its
+    array, so no buffer the size of the file ever exists."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(len(MAGIC) + 8)
+        if size < len(MAGIC) + 12 or lead[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+        version, header_len = struct.unpack_from("<II", lead, len(MAGIC))
+        if version != VERSION:
+            raise SchemaError(f"{path}: unsupported checkpoint version {version}")
+        payload_len = size - len(lead) - header_len - 4
+        if payload_len < 0:
+            raise IntegrityError(f"{path}: truncated checkpoint")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise IntegrityError(f"{path}: corrupt header ({exc})") from exc
+        start = fh.tell()
+        crc = _payload_crc(fh, payload_len)
+        (stored_crc,) = struct.unpack("<I", fh.read(4))
+        if crc != stored_crc:
+            raise IntegrityError(f"{path}: payload checksum mismatch")
+        problem = _header_problem(header, payload_len)
+        if problem:
+            raise IntegrityError(f"{path}: malformed header ({problem})")
+        kind = header.get("model_kind")
+        if kind not in MODEL_KINDS:
+            raise SchemaError(f"{path}: unknown model kind {kind!r}")
+        if expect_kind is not None and kind != expect_kind:
+            raise SchemaError(f"{path}: checkpoint holds {kind!r}, expected {expect_kind!r}")
+        entries = header["tensors"]
+        result, arrays = destination(kind, header.get("config", {}), entries)
+        shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
+        missing = [name for name in arrays if name not in shapes]
+        if missing:
+            raise SchemaError(f"missing {_MODEL_NAMES[kind]} tensor {missing[0]!r}")
+        extra = [name for name in shapes if name not in arrays]
+        if extra:
+            raise SchemaError(f"unexpected {_MODEL_NAMES[kind]} tensor {extra[0]!r}")
+        for name, arr in arrays.items():
+            if shapes[name] != arr.shape:
+                raise SchemaError(f"tensor {name!r} has shape {shapes[name]}, expected {arr.shape}")
+        fh.seek(start)
+        for entry in entries:
+            arr = arrays[entry["name"]]
+            if fh.readinto(arr) != entry["length"]:
+                raise IntegrityError(f"{path}: truncated payload")
+            if sys.byteorder == "big":  # the file holds little-endian floats
+                arr.byteswap(inplace=True)
+    return result
+
+
 def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + 12 or data[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    pos = len(MAGIC)
-    (version,) = struct.unpack_from("<I", data, pos)
-    if version != VERSION:
-        raise SchemaError(f"{path}: unsupported checkpoint version {version}")
-    pos += 4
-    (header_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    try:
-        header = json.loads(data[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path}: corrupt header ({exc})") from exc
-    pos += header_len
-    payload = memoryview(data)[pos:-4]
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
-        raise IntegrityError(f"{path}: payload checksum mismatch")
-    problem = _header_problem(header, len(payload))
-    if problem:
-        raise IntegrityError(f"{path}: malformed header ({problem})")
-    kind = header.get("model_kind")
-    if kind not in MODEL_KINDS:
-        raise SchemaError(f"{path}: unknown model kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
-        raise SchemaError(f"{path}: checkpoint holds {kind!r}, expected {expect_kind!r}")
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        if name in tensors:
-            raise IntegrityError(f"{path}: duplicate tensor name {name!r}")
-        start, length = entry["offset"], entry["length"]
-        # a read-only view into the file's bytes; consumers copy what they keep
-        tensors[name] = np.frombuffer(payload[start : start + length], dtype="<f4").reshape(
-            entry["shape"]
-        )
-    return Checkpoint(kind, header.get("config", {}), tensors)
+    """Any checkpoint's kind, config and tensors, as read-only arrays."""
+
+    def fresh(kind, config, entries):
+        tensors = {entry["name"]: np.empty(entry["shape"], np.float32) for entry in entries}
+        return Checkpoint(kind, config, tensors), tensors
+
+    ckpt = _read_checkpoint(path, expect_kind, fresh)
+    for arr in ckpt.tensors.values():
+        arr.flags.writeable = False
+    return ckpt
 
 
 # --- weight trees <-> tensor dicts ---------------------------------------------
@@ -204,40 +264,19 @@ def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
     return _named_tensors(weights)
 
 
-def _fill(model: dict[str, np.ndarray], tensors: dict[str, np.ndarray], kind: str) -> None:
-    """Copy each file tensor into the model array of the same name. The two
-    name sets must be equal and every shape must match."""
-    missing = [name for name in model if name not in tensors]
-    if missing:
-        raise SchemaError(f"missing {kind} tensor {missing[0]!r}")
-    extra = [name for name in tensors if name not in model]
-    if extra:
-        raise SchemaError(f"unexpected {kind} tensor {extra[0]!r}")
-    for name, arr in model.items():
-        src = tensors[name]
-        if src.shape != arr.shape:
-            raise SchemaError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
-        arr[...] = src
-
-
-def vital_from_tensors(config: VitalConfig, tensors: dict[str, np.ndarray]) -> VitalWeights:
-    """Detector weights for ``config`` copied from checkpoint tensors."""
-    weights = empty_weights(config)
-    _fill(vital_tensors(weights), tensors, "detector")
-    return weights
-
-
 def save_vital_checkpoint(path, weights: VitalWeights) -> None:
     save_checkpoint(path, "vital", asdict(weights.config), vital_tensors(weights))
 
 
 def load_vital_checkpoint(path) -> VitalWeights:
-    ckpt = load_checkpoint(path, expect_kind="vital")
-    missing = [f.name for f in fields(VitalConfig) if f.name not in ckpt.config]
-    if missing:
-        raise SchemaError(f"{path}: detector config lacks {missing}")
-    config = build_section(VitalConfig, ckpt.config, "checkpoint detector config")
-    return vital_from_tensors(config, ckpt.tensors)
+    def empty(kind, config, entries):
+        missing = [f.name for f in fields(VitalConfig) if f.name not in config]
+        if missing:
+            raise SchemaError(f"{path}: detector config lacks {missing}")
+        weights = empty_weights(build_section(VitalConfig, config, "checkpoint detector config"))
+        return weights, vital_tensors(weights)
+
+    return _read_checkpoint(path, "vital", empty)
 
 
 def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
@@ -245,10 +284,11 @@ def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
 
 
 def load_dqn_checkpoint(path) -> tuple[QNetwork, dict]:
-    ckpt = load_checkpoint(path, expect_kind="dqn")
-    net = empty_qnetwork()
-    _fill(qnetwork_tensors(net), ckpt.tensors, "q-network")
-    return net, ckpt.config
+    def empty(kind, config, entries):
+        net = empty_qnetwork()
+        return (net, config), qnetwork_tensors(net)
+
+    return _read_checkpoint(path, "dqn", empty)
 
 
 # --- PPM image I/O -----------------------------------------------------------

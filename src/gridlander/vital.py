@@ -339,11 +339,14 @@ def encoder_forward(
     tokens: np.ndarray,
     weights: VitalWeights,
     collect_attention: bool = False,
+    class_only: bool = False,
 ):
     """Pre-norm transformer encoder: x += MHA(LN(x)); x += FFN(LN(x)).
 
     With ``collect_attention`` the per-layer float64 attention maps are
-    returned for probing.
+    returned for probing. With ``class_only`` the last layer computes the
+    class-token row alone, after checking that the stream entering it is
+    finite, and that row is the result; the two do not combine.
     """
     cfg = weights.config
     tokens = np.asarray(tokens, dtype=np.float32)
@@ -353,20 +356,25 @@ def encoder_forward(
         )
     x = tokens.astype(np.float64)  # residual stream stays float64 until exit
     maps = []
-    for layer in weights.encoder:
+    for i, layer in enumerate(weights.encoder):
+        rows = None
+        if class_only and i == len(weights.encoder) - 1:
+            _check_finite("encoder", x)
+            rows = 1
         normed = layernorm(x, layer.ln_attn.gamma, layer.ln_attn.beta)
         if collect_attention:
             att_out, att_w = multihead_attention(
-                normed, layer.attention, cfg.heads, return_weights=True
+                normed, layer.attention, cfg.heads, return_weights=True, out_rows=rows
             )
             maps.append(att_w)
         else:
-            att_out = multihead_attention(normed, layer.attention, cfg.heads)
+            att_out = multihead_attention(normed, layer.attention, cfg.heads, out_rows=rows)
+        x = x[: len(att_out)]
         x += att_out
         normed = layernorm(x, layer.ln_ffn.gamma, layer.ln_ffn.beta)
         h = gelu(dense_forward(layer.ffn_in, normed))
         x += dense_forward(layer.ffn_out, h)
-    out = x.astype(np.float32)
+    out = (x[0] if class_only else x).astype(np.float32)
     if collect_attention:
         return out, maps
     return out
@@ -408,8 +416,8 @@ def detect(img: MultimodalImage, weights: VitalWeights) -> Detection:
         "token assembly",
         assemble_tokens(stem_out["visual"], stem_out["thermal"], stem_out["lidar"], weights),
     )
-    encoded = _check_finite("encoder", encoder_forward(tokens, weights))
-    cls_row = encoded[0]
+    # the heads read only the class-token row of the encoder's output
+    cls_row = _check_finite("encoder", encoder_forward(tokens, weights, class_only=True))
     obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))
     box_logit = _check_finite("box head", _head_forward(weights.head_box, cls_row))
     objectness = float(_sigmoid(obj_logit)[0])

@@ -418,6 +418,28 @@ def test_detect_out_without_ground_truth_exit_2(tmp_path, capsys, mode):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_detect_batch_missing_frame_exit_2_before_any_work(tmp_path, capsys):
+    """A labels.csv row naming a missing frame stops detect before it loads
+    weights or prints a detection, whatever rows come before it."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    records = []
+    for i in range(3):
+        name = f"img_{i:03d}.ppm"
+        if i < 2:
+            write_ppm(batch / name, make_image(50 + i))
+        records.append(SampleRecord(name, 0.25, 0.25, 0.75, 0.75, 1))
+    write_sample_records(batch / "labels.csv", records)
+    ckpt, out_json = tmp_path / "vital.ckpt", tmp_path / "metrics.json"
+    save_vital_checkpoint(ckpt, init_weights(SMALL_VITAL, 0))
+    code, stdout, err = run(
+        capsys, "detect", "--batch", str(batch), "--checkpoint", str(ckpt), "--out", str(out_json)
+    )
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error: image not found:") and "img_002.ppm" in err
+    assert not out_json.exists()
+
+
 def test_bench_rejects_image_size_other_than_frame(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"detector": {"image_size": 80, "patch_side": 10}}))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
+from gridlander import nncore
 from gridlander.errors import ContractViolation
 from gridlander.rng import Rng
 from gridlander.nncore import (
+    _needs_shift,
     _softmax_rows_inplace,
     Activation,
     AttentionParams,
@@ -429,8 +433,10 @@ def test_attention_indivisible_heads_rejected():
 
 
 def softmax_rows(m):
-    """Row-wise softmax in float64 that leaves ``m`` alone."""
-    return _softmax_rows_inplace(np.array(m, dtype=np.float64))
+    """Row-wise softmax in float64 that leaves ``m`` alone, shifting by the
+    row maxima when its own logits need it."""
+    m = np.array(m, dtype=np.float64)
+    return _softmax_rows_inplace(m, _needs_shift(m.min(), m.max()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -655,5 +661,122 @@ def test_softmax_bitwise_equals_expression(m, transposed):
     assert_bitwise(softmax_rows(m), want)
     assert_bitwise(m, before)  # softmax_rows leaves its argument alone
     owned = m.copy()
-    assert _softmax_rows_inplace(owned) is owned
+    assert _softmax_rows_inplace(owned, _needs_shift(owned.min(), owned.max())) is owned
     assert_bitwise(owned, ref_softmax(m.copy()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_planes(_f32(), max_side=9),
+    cout=st.integers(1, 3),
+    k=st.sampled_from([1, 3]),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 1),
+    band_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_banded_conv_bitwise_equals_one_shot_im2col(x, cout, k, stride, padding, band_rows, data):
+    """Bands of ``band_rows`` output rows (often not dividing out_h) against
+    the single patch matrix conv2d_forward built before it worked in bands."""
+    c, h, w = x.shape
+    if k > h + 2 * padding or k > w + 2 * padding:
+        return
+    out_w = (w + 2 * padding - k) // stride + 1
+    kernels = data.draw(hnp.arrays(np.float32, (cout, c, k, k), elements=_f32()))
+    bias = data.draw(hnp.arrays(np.float32, (cout,), elements=_f32()))
+    with mock.patch.object(nncore, "_IM2COL_BAND_BYTES", 8 * c * k * k * out_w * band_rows):
+        got = conv2d_forward(x, kernels, bias, stride=stride, padding=padding)
+    assert_bitwise(got, ref_conv(x, kernels, bias, stride, padding))
+
+
+def ref_attention(tokens, params, heads, rows=None):
+    """The batched expression multihead_attention evaluated before it ran one
+    head at a time: every head's scores in one (heads, tokens, tokens) tensor
+    under one softmax, then the contexts of the first ``rows`` rows. Returns
+    the output, the attention maps and the raw scores."""
+    t, d = tokens.shape
+    dh = d // heads
+    x64 = np.asarray(tokens, dtype=np.float64)
+    q, k, v = (
+        x64 @ w.T.astype(np.float64) + b
+        for w, b in ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv))
+    )
+    q *= 1.0 / np.sqrt(dh)
+    qh, kh, vh = (m.reshape(t, heads, dh).transpose(1, 0, 2) for m in (q, k, v))
+    scores = qh @ kh.transpose(0, 2, 1)
+    attn = ref_softmax(scores)
+    n = t if rows is None else rows
+    ctx = (attn[:, :n] @ vh).transpose(1, 0, 2).reshape(n, d)
+    out = ctx @ params.wo.T.astype(np.float64) + params.bo
+    return out.astype(np.result_type(tokens, params.wo)), attn, scores
+
+
+def _assert_attention_matches_reference(tokens, params, heads):
+    want, want_maps, _ = ref_attention(tokens, params, heads)
+    got, maps = multihead_attention(tokens, params, heads, return_weights=True)
+    assert_bitwise(got, want)
+    assert_bitwise(maps, want_maps)
+    assert_bitwise(multihead_attention(tokens, params, heads), want)
+    for rows in sorted({1, len(tokens)}):
+        got = multihead_attention(tokens, params, heads, out_rows=rows)
+        assert_bitwise(got, ref_attention(tokens, params, heads, rows)[0])
+
+
+@st.composite
+def _attention_cases(draw):
+    heads, dh, t = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    d = heads * dh
+    # wide magnitudes, so that some cases need the softmax shift and some not
+    scale = draw(st.sampled_from([1.0, 8.0, 40.0]))
+    elements = _TIES | st.floats(-scale, scale, width=32)
+    tokens = draw(hnp.arrays(np.float32, (t, d), elements=elements))
+    mats = [draw(hnp.arrays(np.float32, (d, d), elements=elements)) for _ in range(4)]
+    vecs = [draw(hnp.arrays(np.float32, (d,), elements=elements)) for _ in range(4)]
+    return tokens, AttentionParams(*mats, *vecs), heads
+
+
+@settings(max_examples=80, deadline=None)
+@given(_attention_cases())
+def test_attention_bitwise_equals_batched_expression(case):
+    _assert_attention_matches_reference(*case)
+
+
+def _trip_case(where):
+    """Small-logit attention in which the shift is tripped only by the last
+    head's scores, or only by a row other than the class token's."""
+    rng = np.random.default_rng(17)
+    heads, dh, t = 3, 2, 7
+    d = heads * dh
+    tokens = rng.standard_normal((t, d)).astype(np.float32)
+    params = _random_attention_params(rng, d, np.float32)
+    if where == "late head":
+        last = slice(d - dh, d)
+        params.bq[last] = 30.0
+        params.bk[last] = 30.0
+    else:  # a large feature that only the queries read, in token row 4
+        params.wk[:, 0] = 0.0
+        params.wv[:, 0] = 0.0
+        params.wq[:, 0] = 20.0
+        tokens[4, 0] = 60.0
+    return tokens, params, heads
+
+
+@pytest.mark.parametrize("where", ["late head", "other row"])
+def test_attention_shift_decided_over_every_head_and_row(where):
+    tokens, params, heads = _trip_case(where)
+    _, _, scores = ref_attention(tokens, params, heads)
+    assert _needs_shift(scores.min(), scores.max())
+    if where == "late head":
+        assert not _needs_shift(scores[:-1].min(), scores[:-1].max())
+    else:
+        assert not _needs_shift(scores[:, 0].min(), scores[:, 0].max())
+    _assert_attention_matches_reference(tokens, params, heads)
+
+
+def test_attention_out_rows_rejects_bad_requests():
+    rng = np.random.default_rng(18)
+    params = _random_attention_params(rng, 4)
+    tokens = rng.standard_normal((3, 4))
+    for kwargs in ({"out_rows": 0}, {"out_rows": 4}, {"out_rows": 1, "return_weights": True}):
+        with pytest.raises(ContractViolation):
+            multihead_attention(tokens, params, 2, **kwargs)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlander import persistence
+from gridlander.cli import main
 from gridlander.dqn import EpisodeLog, EpisodeStep, RewardTrace, init_qnetwork
 from gridlander.env import Action, LanderState, Terminal
 from gridlander.errors import ContractViolation
@@ -285,6 +288,76 @@ def test_vital_checkpoint_extra_tensor_schema_error(tmp_path):
     save_checkpoint(path, "vital", {**asdict(config), "encoder_layers": 1}, vital_tensors(weights))
     with pytest.raises(SchemaError, match="encoder1.ln_attn.gamma"):
         load_vital_checkpoint(path)
+
+
+# --- streamed loading: layout faults and memory ----------------------------------
+
+SMALL_VITAL = VitalConfig(embed_dim=8, encoder_layers=1, ffn_hidden=16, heads=3, stem_channels=(2, 2, 2))
+
+
+def _truncated_payload(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _overlapping_entries(data: bytes) -> bytes:
+    header = _header_of(data)
+    header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
+    return _with_header(data, header)
+
+
+def _out_of_order_entries(data: bytes) -> bytes:
+    header = _header_of(data)
+    entries = header["tensors"]
+    entries[0], entries[1] = entries[1], entries[0]
+    return _with_header(data, header)
+
+
+def _crc_mismatch(data: bytes) -> bytes:
+    return data[:-4] + struct.pack("<I", struct.unpack("<I", data[-4:])[0] ^ 1)
+
+
+@pytest.mark.parametrize(
+    "fault", [_truncated_payload, _overlapping_entries, _out_of_order_entries, _crc_mismatch]
+)
+def test_vital_checkpoint_layout_faults(tmp_path, capsys, monkeypatch, fault):
+    """Each fault is an IntegrityError, found before a weight tree is even
+    built, and `detect` reports it on one line with exit code 2."""
+    good = tmp_path / "good.ckpt"
+    save_vital_checkpoint(good, init_weights(SMALL_VITAL, 0))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(fault(good.read_bytes()))
+    built = []
+    monkeypatch.setattr(persistence, "empty_weights", lambda config: built.append(config))
+    with pytest.raises(IntegrityError):
+        load_vital_checkpoint(path)
+    assert built == []
+    image = tmp_path / "img.ppm"
+    write_ppm(image, random_image(0))
+    code = main(["detect", "--image", str(image), "--checkpoint", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert built == []
+
+
+def test_load_vital_checkpoint_holds_no_copy_of_the_file(tmp_path):
+    """The traced peak of a load stays within the weights it returns plus
+    2 MiB: the checksum pass reuses one 1 MiB buffer and each tensor is read
+    straight into the weight tree."""
+    weights = init_weights(VitalConfig(), 0)
+    path = tmp_path / "vital.ckpt"
+    save_vital_checkpoint(path, weights)
+    size = sum(arr.nbytes for arr in vital_tensors(weights).values())
+    del weights
+    load_vital_checkpoint(path)
+    tracemalloc.start()
+    try:
+        loaded = load_vital_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.config == VitalConfig()
+    assert peak < size + 2 * 2**20
 
 
 # --- tensor naming: the tree walk against the old hand-written tables ----------

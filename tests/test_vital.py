@@ -1,9 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridlander.errors import ContractViolation
+from gridlander.errors import ContractViolation, NumericFault
 from gridlander.persistence import vital_tensors
 from gridlander.rng import Rng
 from gridlander.vital import (
@@ -199,8 +202,6 @@ def test_detect_is_pure():
 
 
 def test_detect_numeric_fault_names_stage():
-    from gridlander.errors import NumericFault
-
     w = init_weights(CFG, 34)
     w.stems["thermal"].blocks[0].conv1.kernels[0, 0, 0, 0] = np.nan
     with pytest.raises(NumericFault, match=r"stem\[thermal\]"):
@@ -277,3 +278,69 @@ def test_detector_golden_digests():
         row = np.array([det.objectness, b.x_min, b.y_min, b.x_max, b.y_max], dtype=np.float64)
         digests["detect"].update(row.tobytes())
     assert {name: h.hexdigest() for name, h in digests.items()} == GOLDEN
+
+
+# --- the class-token path of detect ------------------------------------------------
+#
+# detect runs the last encoder layer on the class-token row alone. Its one-row
+# products go through BLAS matrix-vector kernels, so the float64 row may differ
+# from the full layer's in the last bits; the float32 row leaving the encoder
+# is what the heads read, and it must equal encoder_forward's row 0.
+
+
+def class_row(tokens, w):
+    return encoder_forward(tokens, w, class_only=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    embed_dim=st.integers(1, 4),
+    layers=st.integers(0, 3),
+    ffn_hidden=st.integers(1, 8),
+    scale=st.sampled_from([0.5, 4.0, 60.0]),
+    data=st.data(),
+)
+def test_class_token_path_equals_encoder_row_0(embed_dim, layers, ffn_hidden, scale, data):
+    heads = data.draw(st.sampled_from([h for h in (1, 2, 3, 4, 6) if 3 * embed_dim % h == 0]))
+    cfg = VitalConfig(embed_dim=embed_dim, encoder_layers=layers, ffn_hidden=ffn_hidden,
+                      heads=heads, stem_channels=(1, 1, 1))
+    w = init_weights(cfg, data.draw(st.integers(0, 2**16)))
+    for layer in w.encoder:  # large projections, so that some layers shift the softmax
+        layer.attention.wq *= scale
+        layer.attention.wk *= scale
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    tokens = rng.standard_normal((cfg.token_count, cfg.token_dim)).astype(np.float32)
+    got = class_row(tokens, w)
+    assert got.shape == (cfg.token_dim,) and got.dtype == np.float32
+    assert got.tobytes() == encoder_forward(tokens, w)[0].tobytes()
+
+
+def test_class_token_path_equals_encoder_row_0_on_golden_frames():
+    w = init_weights(CFG, seed=0)
+    for img in golden_frames():
+        stems = [stem_forward(w.stems[m], img.planes[i][None], CFG) for i, m in enumerate(MODALITIES)]
+        tokens = assemble_tokens(*stems, w)
+        assert class_row(tokens, w).tobytes() == encoder_forward(tokens, w)[0].tobytes()
+
+
+def test_class_token_path_checks_the_stream_entering_the_last_layer():
+    cfg = VitalConfig(embed_dim=2, encoder_layers=2, ffn_hidden=4, heads=2, stem_channels=(1, 1, 1))
+    w = init_weights(cfg, 0)
+    tokens = np.zeros((cfg.token_count, cfg.token_dim), dtype=np.float32)
+    w.encoder[0].ffn_out.weights[0, 0] = np.inf  # non-finite after layer 0
+    with pytest.raises(NumericFault, match="encoder"):
+        class_row(tokens, w)
+
+
+def test_detect_traced_peak_under_16_mib():
+    """One frame's transients: each im2col band stays near 1 MiB and the
+    attention holds one head's scores at a time."""
+    w, img = init_weights(CFG, 0), random_image(1)
+    detect(img, w)
+    tracemalloc.start()
+    try:
+        detect(img, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
