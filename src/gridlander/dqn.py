@@ -36,7 +36,6 @@ from .env import (
 )
 from .errors import ContractViolation, NumericFault
 from .nncore import (
-    Activation,
     DenseLayer,
     dense_backward,
     dense_forward,  # unused here; perfbench/tracer.py wraps dqn.dense_forward by name
@@ -44,17 +43,17 @@ from .nncore import (
 )
 from .rng import Rng
 
+# (in, out) of each dense layer; ReLU after every layer but the last
 QNET_LAYOUT = ((3, 256), (256, 256), (256, 128), (128, 5))
-_HIDDEN_ACT = (Activation.RELU, Activation.RELU, Activation.RELU, Activation.IDENTITY)
 
 
 def _dense_views(flat: np.ndarray) -> list[DenseLayer]:
     """Layers over (out,in)/(out,) views of a flat vector, in QNET_LAYOUT order."""
     layers, pos = [], 0
-    for (in_dim, out_dim), act in zip(QNET_LAYOUT, _HIDDEN_ACT):
+    for in_dim, out_dim in QNET_LAYOUT:
         end = pos + out_dim * in_dim
         w, b = flat[pos:end].reshape(out_dim, in_dim), flat[end : end + out_dim]
-        layers.append(DenseLayer(w, b, act))
+        layers.append(DenseLayer(w, b))
         pos = end + out_dim
     return layers
 
@@ -63,10 +62,9 @@ class QNetwork:
     """The Q-network; ``layers`` are views into the float32 vector ``flat``."""
 
     def __init__(self, layers: list[DenseLayer]) -> None:
-        found = tuple((l.out_dim, l.in_dim, l.activation) for l in layers)
-        expected = tuple((o, i, a) for (i, o), a in zip(QNET_LAYOUT, _HIDDEN_ACT))
-        if found != expected:
-            raise ContractViolation(f"q-network layout {found} != required {expected}")
+        found = tuple((l.in_dim, l.out_dim) for l in layers)
+        if found != QNET_LAYOUT:
+            raise ContractViolation(f"q-network layout {found} != required {QNET_LAYOUT}")
         parts = [p.ravel() for l in layers for p in (l.weights, l.bias)]
         self.flat = np.concatenate(parts).astype(np.float32, copy=False)
         self.layers = _dense_views(self.flat)
@@ -95,10 +93,10 @@ def init_qnetwork(seed: int) -> QNetwork:
     """He-initialized weights, zero biases; deterministic under seed."""
     rng = Rng(seed)
     layers = []
-    for (in_dim, out_dim), act in zip(QNET_LAYOUT, _HIDDEN_ACT):
+    for in_dim, out_dim in QNET_LAYOUT:
         std = math.sqrt(2.0 / in_dim)
         w = rng.normal(size=(out_dim, in_dim), std=std).astype(np.float32)
-        layers.append(DenseLayer(w, np.zeros(out_dim, dtype=np.float32), act))
+        layers.append(DenseLayer(w, np.zeros(out_dim, dtype=np.float32)))
     return QNetwork(layers)
 
 
@@ -198,17 +196,16 @@ def normalize_state(state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
 
 def _forward_batch(layers: list[DenseLayer], h: np.ndarray):
     """Q-values for a (batch, 3) matrix plus per-layer inputs and cached
-    preactivations for backprop."""
+    preactivations for backprop. The ReLU between layers runs in float64,
+    before the cast to float32."""
     inputs, preacts = [], []
-    for layer in layers:
+    for i, layer in enumerate(layers):
+        if i:
+            h = np.maximum(z, 0.0).astype(np.float32)
         inputs.append(h)
         z = dense_preactivation(layer, h)
         preacts.append(z)
-        if layer.activation is Activation.RELU:
-            h = np.maximum(z, 0.0).astype(np.float32)
-        else:
-            h = z.astype(np.float32)
-    return h, inputs, preacts
+    return z.astype(np.float32), inputs, preacts
 
 
 def q_values(net: QNetwork, state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
@@ -299,10 +296,11 @@ def td_update(
     g[rows, batch.action] = np.clip(err, -1.0, 1.0) / n
     grad_layers = _dense_views(optimizer.grad)
     for i in reversed(range(len(layers))):
-        gw, gb, g = dense_backward(layers[i], inputs[i], g, preactivation=preacts[i])
+        gw, gb, g = dense_backward(layers[i], inputs[i], g)
         grad_layers[i].weights[...] = gw  # float32 rounding, as in a float32 backward
         grad_layers[i].bias[...] = gb
-        g = g.astype(np.float32)
+        if i:  # float32 rounding, then back through the ReLU below this layer
+            g = g.astype(np.float32).astype(np.float64) * (preacts[i - 1] > 0)
     optimizer.step(online.flat, optimizer.grad, lr)
     return loss
 

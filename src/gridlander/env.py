@@ -319,9 +319,6 @@ class MdpTable:
     def n_nonterminal(self) -> int:
         return len(self.nonterminal_indices)
 
-    def state(self, idx: int) -> LanderState:
-        return LanderState(*map(float, self.states[idx]))
-
     def row_of(self, state: LanderState) -> int:
         """Row in the transition arrays for a non-terminal grid state."""
         nz, nx, ny = self.shape

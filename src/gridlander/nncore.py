@@ -1,5 +1,7 @@
-"""Numerical kernels: dense layers with manual backpropagation plus
-forward-only conv / pool / norm / attention primitives.
+"""Numerical kernels: affine dense layers with manual backpropagation plus
+forward-only stride-1 conv / pool / norm / attention primitives. Callers
+apply their own nonlinearities: the detector its GELU, the Q-network its
+ReLU and ReLU mask.
 
 Conventions:
   * tensors are ``float32`` numpy arrays, row-major;
@@ -17,7 +19,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
@@ -27,15 +28,8 @@ import numpy as np
 from .errors import ContractViolation
 
 _SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # largest float64 patch matrix conv2d_forward builds at once, in bytes
 _IM2COL_BAND_BYTES = 1 << 20
-
-
-class Activation(Enum):
-    RELU = "relu"
-    GELU = "gelu"
-    IDENTITY = "identity"
 
 
 @cache
@@ -71,36 +65,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + load_erf()(x / _SQRT2)) + x * pdf
-
-
-def _activate(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    if activation is Activation.GELU:
-        return gelu(z)
-    return z
-
-
-def _activation_grad(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return (z > 0.0).astype(z.dtype)
-    if activation is Activation.GELU:
-        return gelu_grad(z)
-    return np.ones_like(z)
-
-
 @dataclass
 class DenseLayer:
-    """Fully connected layer y = activation(W x + b)."""
+    """Fully connected affine layer y = W x + b."""
 
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: Activation = Activation.IDENTITY
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights)
@@ -145,37 +115,25 @@ def dense_preactivation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     """Forward pass; accepts a vector (in,) or a batch (n, in)."""
-    z = dense_preactivation(layer, x)
-    return _activate(z, layer.activation).astype(_out_dtype(x, layer.weights), copy=False)
+    return dense_preactivation(layer, x).astype(_out_dtype(x, layer.weights), copy=False)
 
 
-def dense_backward(
-    layer: DenseLayer,
-    x: np.ndarray,
-    grad_out: np.ndarray,
-    preactivation: np.ndarray | None = None,
-):
-    """Gradients of a scalar loss given d(loss)/d(output).
+def dense_backward(layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray):
+    """Gradients of a scalar loss given d(loss)/d(W x + b) for a (batch, in)
+    input.
 
-    Returns (grad_weights, grad_bias, grad_input). Batched inputs sum the
-    parameter gradients over the batch, matching a loss summed over rows.
-    ``preactivation`` lets a caller that cached W x + b skip recomputing it.
+    Returns (grad_weights, grad_bias, grad_input). The parameter gradients
+    are summed over the batch, matching a loss summed over rows.
     """
     x = _check_dense_input(layer, x)
     grad_out = np.asarray(grad_out)
-    if grad_out.shape != x.shape[:-1] + (layer.out_dim,):
+    if x.ndim != 2 or grad_out.shape != (len(x), layer.out_dim):
         raise ContractViolation(
-            f"grad_out shape {grad_out.shape} does not match forward output"
+            f"dense_backward needs (batch, in) and (batch, out), got {x.shape}, {grad_out.shape}"
         )
-    z = preactivation if preactivation is not None else dense_preactivation(layer, x)
-    delta = np.asarray(grad_out, dtype=np.float64) * _activation_grad(z, layer.activation)
-    x64 = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        grad_w = np.outer(delta, x64)
-        grad_b = delta
-    else:
-        grad_w = delta.T @ x64
-        grad_b = delta.sum(axis=0)
+    delta = np.asarray(grad_out, dtype=np.float64)
+    grad_w = delta.T @ np.asarray(x, dtype=np.float64)
+    grad_b = delta.sum(axis=0)
     grad_in = delta @ layer.weights.astype(np.float64, copy=False)
     dt = _out_dtype(x, layer.weights)
     return tuple(g.astype(dt, copy=False) for g in (grad_w, grad_b, grad_in))
@@ -185,16 +143,16 @@ def conv2d_forward(
     x: np.ndarray,
     kernels: np.ndarray,
     bias: np.ndarray | None = None,
-    stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Cross-correlation of a (C, H, W) tensor with (Cout, C, kh, kw) kernels.
+    """Stride-1 cross-correlation of a (C, H, W) tensor with (Cout, C, kh, kw)
+    kernels.
 
-    Output spatial size follows floor((H + 2p - k) / s) + 1. Implemented as
-    im2col in bands of output rows: the kh*kw shifted views of the padded
-    input are cast straight into a float64 (C*kh*kw, rows*out_w) patch matrix
-    of at most about ``_IM2COL_BAND_BYTES``, which one float64 GEMM multiplies
-    by the flattened kernels into the band's columns of the output.
+    Output spatial size follows H + 2p - k + 1. Implemented as im2col in
+    bands of output rows: the kh*kw shifted views of the padded input are cast
+    straight into a float64 (C*kh*kw, rows*out_w) patch matrix of at most
+    about ``_IM2COL_BAND_BYTES``, which one float64 GEMM multiplies by the
+    flattened kernels into the band's columns of the output.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -204,13 +162,13 @@ def conv2d_forward(
     cout, cin, kh, kw = kernels.shape
     if cin != c:
         raise ContractViolation(f"kernel input channels {cin} != tensor channels {c}")
-    if stride < 1 or padding < 0:
-        raise ContractViolation("stride must be >=1 and padding >=0")
+    if padding < 0:
+        raise ContractViolation("padding must be >=0")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ContractViolation("kernel larger than padded input")
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
+    out_h = hp - kh + 1
+    out_w = wp - kw + 1
     if bias is not None:
         bias = np.asarray(bias)
         if bias.shape != (cout,):
@@ -230,10 +188,8 @@ def conv2d_forward(
         # channel-major patch matrix; each assignment casts its view in one pass
         cols = buf[: k * n * out_w].reshape(c, kh, kw, n, out_w)
         for u in range(kh):
-            top = r0 * stride + u
-            rows = slice(top, top + (n - 1) * stride + 1, stride)
             for v in range(kw):
-                cols[:, u, v] = padded[:, rows, v : v + (out_w - 1) * stride + 1 : stride]
+                cols[:, u, v] = padded[:, r0 + u : r0 + u + n, v : v + out_w]
         np.matmul(flat, cols.reshape(k, n * out_w), out=out[:, r0 * out_w : (r0 + n) * out_w])
     if bias is not None:
         out += bias[:, None]

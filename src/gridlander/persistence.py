@@ -234,7 +234,7 @@ def _named_tensors(node, prefix: str = "") -> dict[str, np.ndarray]:
     """Every array under ``node`` keyed by its checkpoint name, in checkpoint
     order: dataclass fields in declaration order (renamed by
     ``_TENSOR_NAMES``) joined by dots, list items as ``{prefix}{i}`` and dict
-    items as ``{prefix}.{key}``. Other leaves (ints, enums) hold no tensor.
+    items as ``{prefix}.{key}``. Other leaves hold no tensor.
     The arrays are the tree's own, so writing into them fills the tree."""
     if isinstance(node, np.ndarray):
         return {prefix: node}
@@ -320,7 +320,10 @@ def read_ppm(
     fields, offset = _ppm_header_fields(path, data)
     if fields[0] != b"P6":
         raise FormatError(f"{path}: expected binary P6 PPM, got {fields[0]!r}")
-    w, h, maxval = (int(v) for v in fields[1:4])
+    try:
+        w, h, maxval = (int(v) for v in fields[1:4])
+    except ValueError:
+        raise FormatError(f"{path}: PPM header size fields {fields[1:4]} are not integers") from None
     if maxval != 255:
         raise FormatError(f"{path}: expected 8-bit maxval 255, got {maxval}")
     if (w, h) != (IMAGE_SIZE, IMAGE_SIZE):
@@ -398,16 +401,12 @@ def read_sample_records(path) -> list[SampleRecord]:
         parts = line.split(",")
         if len(parts) != 6:
             raise FormatError(f"{path}:{lineno}: expected 6 comma-separated fields")
-        records.append(
-            SampleRecord(
-                parts[0],
-                float(parts[1]),
-                float(parts[2]),
-                float(parts[3]),
-                float(parts[4]),
-                int(parts[5]),
-            )
-        )
+        try:
+            corners = [float(v) for v in parts[1:5]]
+            objectness = int(parts[5])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric box or objectness field") from None
+        records.append(SampleRecord(parts[0], *corners, objectness))
     return records
 
 

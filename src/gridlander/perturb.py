@@ -139,6 +139,13 @@ class Perturbation:
 _KINDS = ("disable", "brightness", "fog", "salt_pepper", "flip_h", "flip_v")
 
 
+def _number(name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ContractViolation(f"{name}= expects a number, got {text!r}") from None
+
+
 def parse_perturbation(spec: str, seed: int = 0) -> Perturbation:
     """Parse a CLI directive like ``disable=lidar,thermal`` or ``fog=0.1,0.5``."""
     name, _, arg = spec.partition("=")
@@ -151,14 +158,14 @@ def parse_perturbation(spec: str, seed: int = 0) -> Perturbation:
             raise ContractViolation("disable= needs at least one modality")
         return Perturbation("disable", modalities=mods, seed=seed)
     if name == "brightness":
-        return Perturbation("brightness", delta=float(arg), seed=seed)
+        return Perturbation("brightness", delta=_number(name, arg), seed=seed)
     if name == "fog":
-        parts = [float(v) for v in arg.split(",")]
+        parts = [_number(name, v) for v in arg.split(",")]
         if len(parts) != 2:
             raise ContractViolation("fog= expects low,high")
         return Perturbation("fog", low=parts[0], high=parts[1], seed=seed)
     if name == "salt_pepper":
-        return Perturbation("salt_pepper", prob=float(arg), seed=seed)
+        return Perturbation("salt_pepper", prob=_number(name, arg), seed=seed)
     if arg:
         raise ContractViolation(f"{name} takes no argument")
     return Perturbation(name, seed=seed)

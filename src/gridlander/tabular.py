@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dqn import EpisodeLog, EpisodeStep, EvalResult, summarize_episodes
-from .env import Action, LanderState, MdpTable, Terminal, reset_state, transition
+from .env import START_ALTITUDE, Action, LanderState, MdpTable, Terminal, reset_state, transition
 from .errors import ContractViolation
 from .rng import Rng
 
@@ -203,10 +203,9 @@ def greedy_agreement(q_learned: np.ndarray, q_optimal: np.ndarray, tol: float = 
     return float(np.mean(optimal_set[np.arange(len(picks)), picks]))
 
 
-def policy_rollout(
-    mdp: MdpTable, policy: np.ndarray, start: LanderState, max_steps: int = 200
-):
-    """Follow a tabular policy from a start state on the live dynamics.
+def policy_rollout(mdp: MdpTable, policy: np.ndarray, start: LanderState):
+    """Follow a tabular policy from a start state on the live dynamics, for
+    at most the table config's ``max_steps`` steps.
 
     Returns (states visited, total reward, terminal kind).
     """
@@ -214,7 +213,7 @@ def policy_rollout(
     states = [state]
     total = 0.0
     terminal = Terminal.NONE
-    for _ in range(max_steps):
+    for _ in range(mdp.config.max_steps):
         row = mdp.row_of(state)
         out = transition(state, Action(int(policy[row])), mdp.config)
         total += out.reward
@@ -229,7 +228,7 @@ def policy_rollout(
 
 
 def success_rate_from_all_starts(
-    mdp: MdpTable, policy: np.ndarray, min_altitude: float = 2.0
+    mdp: MdpTable, policy: np.ndarray, min_altitude: float = START_ALTITUDE
 ) -> float:
     """Fraction of eligible start cells the policy lands successfully from.
 

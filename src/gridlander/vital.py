@@ -300,15 +300,15 @@ def stem_forward(stem: StemWeights, plane: np.ndarray, config: VitalConfig) -> n
         raise ContractViolation(f"stem expects (1,{config.image_size},{config.image_size})")
     x = plane
     for block in stem.blocks:
-        y = conv2d_forward(x, block.conv1.kernels, block.conv1.bias, stride=1, padding=1)
+        y = conv2d_forward(x, block.conv1.kernels, block.conv1.bias, padding=1)
         y = batchnorm_inference(y, block.bn1.mean, block.bn1.var, block.bn1.gamma, block.bn1.beta)
         np.maximum(y, 0.0, out=y)
-        y = conv2d_forward(y, block.conv2.kernels, block.conv2.bias, stride=1, padding=1)
+        y = conv2d_forward(y, block.conv2.kernels, block.conv2.bias, padding=1)
         y = batchnorm_inference(y, block.bn2.mean, block.bn2.var, block.bn2.gamma, block.bn2.beta)
-        y += conv2d_forward(x, block.residual.kernels, block.residual.bias, stride=1, padding=0)
+        y += conv2d_forward(x, block.residual.kernels, block.residual.bias, padding=0)
         np.maximum(y, 0.0, out=y)
         x = maxpool2_forward(y)
-    out = conv2d_forward(x, stem.final_conv.kernels, stem.final_conv.bias, stride=1, padding=1)
+    out = conv2d_forward(x, stem.final_conv.kernels, stem.final_conv.bias, padding=1)
     expected = (config.embed_dim, config.patch_side, config.patch_side)
     if out.shape != expected:
         raise ContractViolation(f"stem produced {out.shape}, expected {expected}")

@@ -1,8 +1,9 @@
-"""Shared oracles for the test suite: finite differences, error metrics and
-box translation."""
+"""Shared oracles for the test suite: finite differences, error metrics,
+box translation and grid-table lookup."""
 
 import numpy as np
 
+from gridlander.env import LanderState
 from gridlander.losses import BBox
 
 
@@ -36,3 +37,9 @@ def rel_err(a, b, floor=1e-6):
 def translated(box: BBox, tx: float, ty: float) -> BBox:
     """``box`` moved by (tx, ty)."""
     return BBox(box.x_min + tx, box.y_min + ty, box.x_max + tx, box.y_max + ty)
+
+
+def table_state(mdp, idx: int) -> LanderState:
+    """The cell ``mdp.states[idx]``. ``idx`` indexes ``states``, ground layer
+    included, not the rows of the transition arrays."""
+    return LanderState(*map(float, mdp.states[idx]))

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gridlander import perturb
 from gridlander.cli import main
 from gridlander.dqn import init_qnetwork
 from gridlander.persistence import (
+    LABELS_HEADER,
     SampleRecord,
     load_dqn_checkpoint,
     qnetwork_tensors,
@@ -418,6 +424,22 @@ def test_detect_out_without_ground_truth_exit_2(tmp_path, capsys, mode):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("field", ["x_min", "objectness"])
+def test_detect_batch_non_numeric_label_exit_2(tmp_path, capsys, field):
+    """A labels.csv field that is not a number names the file and line."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_ppm(batch / "img_0.ppm", make_image(60))
+    row = {"x_min": "img_0.ppm,abc,0.25,0.75,0.75,1",
+           "objectness": "img_0.ppm,0.25,0.25,0.75,0.75,yes"}[field]
+    (batch / "labels.csv").write_text(f"{LABELS_HEADER}\n{row}\n")
+    out_json = tmp_path / "metrics.json"
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--out", str(out_json))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "labels.csv:2:" in err
+    assert not out_json.exists()
+
+
 def test_detect_batch_missing_frame_exit_2_before_any_work(tmp_path, capsys):
     """A labels.csv row naming a missing frame stops detect before it loads
     weights or prints a detection, whatever rows come before it."""
@@ -547,6 +569,67 @@ def test_perturb_invalid_spec_no_side_effects(tmp_path, capsys):
     )
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["brightness=abc", "fog=a,b", "salt_pepper="])
+def test_perturb_non_numeric_argument_exit_2(tmp_path, capsys, spec):
+    src = tmp_path / "img.ppm"
+    write_ppm(src, make_image(5))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "perturb", "--image", str(src), "--perturb", spec,
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith(f"error: {spec.partition('=')[0]}= expects a number")
+    assert not out.exists()
+
+
+def test_perturb_non_integer_ppm_header_exit_2(tmp_path, capsys):
+    src = tmp_path / "img.ppm"
+    src.write_bytes(b"P6\nxx 160\n255\n" + bytes(160 * 160 * 3))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "perturb", "--image", str(src), "--perturb", "flip_h",
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert str(src) in err and "not integers" in err
+    assert not out.exists()
+
+
+_PPM_HEADER = b"P6\n160 160\n255\n"
+_PPM_PIXELS = bytes(range(256)) * (160 * 160 * 3 // 256)
+_DIRECTIVE_ARG = (
+    st.text(max_size=12)
+    | st.floats(-2.0, 2.0).map(repr)
+    | st.lists(st.floats(0.0, 1.0).map(repr), min_size=1, max_size=3).map(",".join)
+    | st.sampled_from(["", "visual", "lidar,thermal", "sonar"])
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    directives=st.lists(st.tuples(st.sampled_from(perturb._KINDS), _DIRECTIVE_ARG).map("=".join),
+                        min_size=1, max_size=2),
+    header_edits=st.lists(st.tuples(st.integers(0, len(_PPM_HEADER) - 1), st.integers(0, 255)),
+                          max_size=2),
+)
+def test_perturb_fuzzed_directives_and_ppm_headers(tmp_path, capsys, directives, header_edits):
+    """Any directive argument and any few overwritten PPM header bytes end in
+    exit 0, or in exit 2 with one error line and no --out directory."""
+    header = bytearray(_PPM_HEADER)
+    for i, byte in header_edits:
+        header[i] = byte
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        src, out = Path(work) / "img.ppm", Path(work) / "out"
+        src.write_bytes(bytes(header) + _PPM_PIXELS)
+        argv = ["perturb", "--image", str(src), "--out", str(out)]
+        for d in directives:
+            argv += ["--perturb", d]
+        code, stdout, err = run(capsys, *argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            _assert_one_line_usage_error(code, stdout, err)
+            assert not out.exists()
 
 
 def test_perturb_bad_later_image_writes_nothing(tmp_path, capsys):

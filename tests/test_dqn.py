@@ -34,7 +34,6 @@ from gridlander.dqn import (
 from gridlander.env import Action, EnvConfig, LanderState, Terminal, enumerate_mdp
 from gridlander.errors import ContractViolation
 from gridlander.nncore import (
-    Activation,
     DenseLayer,
     dense_backward,
     dense_forward,
@@ -49,6 +48,8 @@ from gridlander.tabular import (
     success_rate_from_all_starts,
     value_iteration,
 )
+
+from helpers import table_state
 
 ENV = EnvConfig()
 
@@ -93,17 +94,20 @@ def test_q_values_match_dense_forward_composition():
     net = init_qnetwork(3)
     s = LanderState(-4, 6, 7)
     h = normalize_state(s, ENV)
-    for layer in net.layers:
-        h = dense_forward(layer, h)
+    for layer in net.layers[:-1]:
+        h = np.maximum(dense_forward(layer, h), 0.0)
+    h = dense_forward(net.layers[-1], h)
     assert np.abs(q_values(net, s, ENV) - h).max() < 1e-7
 
 
 def q_values_dense_chain(net, state, env_cfg):
     """The Q-network forward as it was before q_values shared the TD step's
-    batch forward: one nncore.dense_forward per layer on the float32 weights."""
+    batch forward: one mat-vec per layer on the float32 weights, each hidden
+    layer's ReLU in float64 before the cast to float32."""
     h = normalize_state(state, env_cfg)
-    for layer in net.layers:
-        h = dense_forward(layer, h)
+    for i, layer in enumerate(net.layers):
+        z = dense_preactivation(layer, h)
+        h = (np.maximum(z, 0.0) if i < len(net.layers) - 1 else z).astype(np.float32)
     return h
 
 
@@ -327,18 +331,16 @@ def test_flat_adam_matches_per_tensor_expression_bitwise(params, grads_seed, cut
 def _td_update_reference(online, target, rows, gamma, lr, state):
     """The TD step before the flat layout: float32 layers cast inside every
     kernel call, per-tensor Adam (``state`` holds its moments and step)."""
-    def forward(layers, x):
+    def forward(layers, x):  # ReLU after every layer but the last, in float64
         inputs, preacts, h = [], [], x
-        for layer in layers:
+        for i, layer in enumerate(layers):
             inputs.append(h)
             z = dense_preactivation(layer, h)
             preacts.append(z)
-            h = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
-            h = h.astype(np.float32)
+            h = (np.maximum(z, 0.0) if i < len(layers) - 1 else z).astype(np.float32)
         return h, inputs, preacts
 
-    own = lambda net: [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                       for l in net.layers]
+    own = lambda net: [DenseLayer(l.weights.copy(), l.bias.copy()) for l in net.layers]
     online_layers, target_layers = own(online), own(target)
     x = np.stack([normalize_state(t[0], ENV) for t in rows])
     next_x = np.stack([normalize_state(t[3], ENV) for t in rows])
@@ -352,8 +354,10 @@ def _td_update_reference(online, target, rows, gamma, lr, state):
     grad_q = np.zeros_like(q, dtype=np.float64)
     grad_q[np.arange(len(rows)), actions] = np.clip(err, -1.0, 1.0) / len(rows)
     grads, g = [], grad_q
-    for layer, layer_in, z in zip(reversed(online_layers), reversed(inputs), reversed(preacts)):
-        gw, gb, g = dense_backward(layer, layer_in, g, preactivation=z)
+    for i in reversed(range(len(online_layers))):
+        if i < len(online_layers) - 1:  # d(loss)/d(z) through the ReLU
+            g = np.asarray(g, dtype=np.float64) * (preacts[i] > 0.0).astype(np.float64)
+        gw, gb, g = dense_backward(online_layers[i], inputs[i], g)
         grads += [gb.astype(np.float32), gw.astype(np.float32)]
         g = g.astype(np.float32)
     grads.reverse()
@@ -789,9 +793,9 @@ def test_table_rollout_matches_live_rollouts(boundary_mode):
     seen = set()
     for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
         for min_altitude in (1.0, 2.0):
-            starts = [mdp.state(int(i)) for i in mdp.nonterminal_indices]
+            starts = [table_state(mdp, int(i)) for i in mdp.nonterminal_indices]
             kinds = [
-                policy_rollout(mdp, policy, s, cfg.max_steps)[2]
+                policy_rollout(mdp, policy, s)[2]
                 for s in starts
                 if s.dz >= min_altitude
             ]

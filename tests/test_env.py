@@ -25,6 +25,8 @@ from gridlander.errors import ContractViolation
 from gridlander.rng import Rng
 from gridlander.tabular import q_learning
 
+from helpers import table_state
+
 CFG = EnvConfig()
 
 
@@ -357,9 +359,9 @@ def test_enumerate_mdp_success_entries_are_400():
     mdp = enumerate_mdp(CFG)
     success = 0
     for row in range(mdp.n_nonterminal):
-        state = mdp.state(int(mdp.nonterminal_indices[row]))
+        state = table_state(mdp, int(mdp.nonterminal_indices[row]))
         for a in range(5):
-            nxt = mdp.state(int(mdp.next_index[row, a]))
+            nxt = table_state(mdp, int(mdp.next_index[row, a]))
             if nxt.dz == 0.0 and inside_zone(nxt, CFG):
                 assert mdp.rewards[row, a] == 400.0
                 assert mdp.next_row[row, a] < 0
@@ -373,9 +375,9 @@ def test_enumerate_mdp_spot_checks_live_step():
     for _ in range(200):
         row = int(rng.integers(mdp.n_nonterminal))
         a = int(rng.integers(5))
-        state = mdp.state(int(mdp.nonterminal_indices[row]))
+        state = table_state(mdp, int(mdp.nonterminal_indices[row]))
         out = transition(state, Action(a), CFG)
-        assert tuple(out.next) == tuple(mdp.state(int(mdp.next_index[row, a])))
+        assert tuple(out.next) == tuple(table_state(mdp, int(mdp.next_index[row, a])))
         assert out.reward == mdp.rewards[row, a]
         assert (out.terminal is not Terminal.NONE) == bool(mdp.next_row[row, a] < 0)
 
@@ -418,7 +420,7 @@ def test_enumerate_mdp_matches_per_cell_transition(
     index_of = {s: i for i, s in enumerate(scan)}
     assert mdp.nonterminal_indices.tolist() == [i for i, s in enumerate(scan) if s[2] > 0.0]
     for row, si in enumerate(mdp.nonterminal_indices):
-        state = mdp.state(int(si))
+        state = table_state(mdp, int(si))
         assert mdp.row_of(state) == row
         for a in Action:
             out = transition(state, a, cfg)

@@ -13,7 +13,6 @@ from gridlander.rng import Rng
 from gridlander.nncore import (
     _needs_shift,
     _softmax_rows_inplace,
-    Activation,
     AttentionParams,
     DenseLayer,
     batchnorm_inference,
@@ -34,25 +33,26 @@ from helpers import fd_grad, rel_err
 
 
 def test_dense_forward_zero_layer():
-    layer = DenseLayer(np.zeros((4, 3)), np.zeros(4), Activation.RELU)
+    layer = DenseLayer(np.zeros((4, 3)), np.zeros(4))
     assert np.array_equal(dense_forward(layer, np.array([1.0, -2.0, 3.0])), np.zeros(4))
 
 
 def test_dense_forward_identity():
-    layer = DenseLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)
+    layer = DenseLayer(np.eye(3), np.zeros(3))
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(dense_forward(layer, x), x)
 
 
 def test_dense_forward_relu_case():
-    layer = DenseLayer(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), Activation.RELU)
+    # the layer is affine: a negative output is not clipped; callers apply ReLU
+    layer = DenseLayer(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.5, 0.0]))
     out = dense_forward(layer, np.array([1.0, 2.0]))
-    assert np.allclose(out, [3.0, 0.0])
+    assert np.array_equal(out, [3.5, -1.0])
 
 
 def test_dense_forward_batch_matches_rows():
     rng = np.random.default_rng(0)
-    layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4), Activation.GELU)
+    layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4))
     batch = rng.standard_normal((5, 3))
     stacked = dense_forward(layer, batch)
     rows = np.stack([dense_forward(layer, row) for row in batch])
@@ -75,30 +75,38 @@ def test_dense_layer_bias_mismatch():
 
 def test_dense_backward_zero_grad():
     rng = np.random.default_rng(1)
-    layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4), Activation.GELU)
-    gw, gb, gx = dense_backward(layer, rng.standard_normal(3), np.zeros(4))
+    layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4))
+    gw, gb, gx = dense_backward(layer, rng.standard_normal((1, 3)), np.zeros((1, 4)))
     assert not gw.any() and not gb.any() and not gx.any()
 
 
 def test_dense_backward_scalar_chain_rule():
     w = np.array([[1.7]])
-    layer = DenseLayer(w, np.zeros(1), Activation.IDENTITY)
-    gw, gb, gx = dense_backward(layer, np.array([2.0]), np.array([1.0]))
+    layer = DenseLayer(w, np.zeros(1))
+    gw, gb, gx = dense_backward(layer, np.array([[2.0]]), np.array([[1.0]]))
     assert gw.item() == pytest.approx(2.0)
     assert gb.item() == pytest.approx(1.0)
     assert gx.item() == pytest.approx(1.7)
+
+
+def test_dense_backward_needs_a_batch():
+    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ContractViolation):
+        dense_backward(layer, np.zeros(3), np.zeros(2))
+    with pytest.raises(ContractViolation):
+        dense_backward(layer, np.zeros((4, 3)), np.zeros((3, 2)))
 
 
 def test_dense_backward_finite_difference_4x3():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(4)
-    x = rng.standard_normal(3)
-    probe = rng.standard_normal(4)  # scalar loss = probe . output
-    layer = DenseLayer(w, b, Activation.GELU)
+    x = rng.standard_normal((5, 3))
+    probe = rng.standard_normal((5, 4))  # scalar loss = sum(probe * output)
+    layer = DenseLayer(w, b)
 
     def loss():
-        return float(probe @ dense_forward(layer, x))
+        return float((probe * dense_forward(layer, x)).sum())
 
     gw, gb, gx = dense_backward(layer, x, probe)
     assert rel_err(gw, fd_grad(loss, w)).max() < 1e-4
@@ -108,16 +116,10 @@ def test_dense_backward_finite_difference_4x3():
 
 def _random_stack(rng, depth):
     dims = [int(d) for d in rng.integers(2, 6, size=depth + 1)]
-    layers = []
-    for i in range(depth):
-        act = Activation.GELU if i < depth - 1 else Activation.IDENTITY
-        layers.append(
-            DenseLayer(
-                rng.standard_normal((dims[i + 1], dims[i])),
-                rng.standard_normal(dims[i + 1]),
-                act,
-            )
-        )
+    layers = [
+        DenseLayer(rng.standard_normal((dims[i + 1], dims[i])), rng.standard_normal(dims[i + 1]))
+        for i in range(depth)
+    ]
     return layers, dims
 
 
@@ -140,14 +142,14 @@ def test_gradient_correctness_100_trials_stacks_to_depth_3():
         rng = np.random.default_rng(1000 + trial)
         depth = int(rng.integers(1, 4))
         layers, dims = _random_stack(rng, depth)
-        x = rng.standard_normal(dims[0])
-        probe = rng.standard_normal(dims[-1])
+        x = rng.standard_normal((1, dims[0]))
+        probe = rng.standard_normal((1, dims[-1]))
 
         def loss():
             h = x
             for layer in layers:
                 h = dense_forward(layer, h)
-            return float(probe @ h)
+            return float((probe * h).sum())
 
         grads, gx = _stack_gradients(layers, x, probe)
         for layer, (gw, gb) in zip(layers, grads):
@@ -157,24 +159,24 @@ def test_gradient_correctness_100_trials_stacks_to_depth_3():
 
 
 def test_relu_backward_matches_fd_away_from_kinks():
+    """A ReLU applied by the caller, as the Q-network does: the gradient
+    through it is the output gradient times the mask z > 0."""
     checked = 0
     seed = 0
     while checked < 30:
         seed += 1
         rng = np.random.default_rng(5000 + seed)
-        layer = DenseLayer(
-            rng.standard_normal((4, 3)), rng.standard_normal(4), Activation.RELU
-        )
-        x = rng.standard_normal(3)
-        z = layer.weights @ x + layer.bias
+        layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(4))
+        x = rng.standard_normal((1, 3))
+        z = dense_forward(layer, x)
         if np.abs(z).min() < 0.05:  # keep h=1e-3 probes away from the kink
             continue
-        probe = rng.standard_normal(4)
+        probe = rng.standard_normal((1, 4))
 
         def loss():
-            return float(probe @ dense_forward(layer, x))
+            return float((probe * np.maximum(dense_forward(layer, x), 0.0)).sum())
 
-        gw, gb, gx = dense_backward(layer, x, probe)
+        gw, gb, gx = dense_backward(layer, x, probe * (z > 0))
         assert rel_err(gw, fd_grad(loss, layer.weights)).max() < 1e-4
         assert rel_err(gx, fd_grad(loss, x)).max() < 1e-4
         checked += 1
@@ -190,12 +192,12 @@ def test_gelu_exact_values():
 # --- conv --------------------------------------------------------------------
 
 
-def naive_conv(x, kernels, bias, stride, padding):
+def naive_conv(x, kernels, bias, padding):
     c, h, w = x.shape
     co, ci, kh, kw = kernels.shape
     xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     out = np.zeros((co, oh, ow))
     for o in range(co):
         for i in range(oh):
@@ -204,7 +206,7 @@ def naive_conv(x, kernels, bias, stride, padding):
                 for cc in range(ci):
                     for u in range(kh):
                         for v in range(kw):
-                            acc += xp[cc, i * stride + u, j * stride + v] * float(
+                            acc += xp[cc, i + u, j + v] * float(
                                 kernels[o, cc, u, v]
                             )
                 out[o, i, j] = acc + (float(bias[o]) if bias is not None else 0.0)
@@ -216,13 +218,13 @@ def test_conv_identity_kernel():
     x = rng.random((1, 3, 3)).astype(np.float32)
     k = np.zeros((1, 1, 3, 3), dtype=np.float32)
     k[0, 0, 1, 1] = 1.0
-    assert np.allclose(conv2d_forward(x, k, None, 1, 1), x)
+    assert np.allclose(conv2d_forward(x, k, None, 1), x)
 
 
 def test_conv_all_ones_sum():
     x = np.ones((1, 3, 3), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = conv2d_forward(x, k, None, 1, 0)
+    out = conv2d_forward(x, k, None, 0)
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == 9.0
 
@@ -232,9 +234,9 @@ def test_conv_matches_naive_loop():
     x = rng.standard_normal((3, 8, 8)).astype(np.float32)
     k = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
-    for stride, padding in [(1, 0), (1, 1), (2, 1), (3, 2)]:
-        mine = conv2d_forward(x, k, b, stride, padding)
-        ref = naive_conv(x, k, b, stride, padding)
+    for padding in (0, 1, 2):
+        mine = conv2d_forward(x, k, b, padding)
+        ref = naive_conv(x, k, b, padding)
         assert mine.shape == ref.shape
         assert np.abs(mine - ref).max() < 1e-6
 
@@ -243,23 +245,23 @@ def test_conv_1x1_matches_naive_loop():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 6, 7)).astype(np.float32)
     k = rng.standard_normal((2, 5, 1, 1)).astype(np.float32)
-    assert np.abs(conv2d_forward(x, k, None, 2, 0) - naive_conv(x, k, None, 2, 0)).max() < 1e-6
+    assert np.abs(conv2d_forward(x, k, None, 0) - naive_conv(x, k, None, 0)).max() < 1e-6
 
 
 def test_conv_output_size_formula():
     x = np.zeros((1, 11, 9), dtype=np.float32)
     k = np.zeros((2, 1, 3, 3), dtype=np.float32)
-    out = conv2d_forward(x, k, None, 2, 1)
-    assert out.shape == (2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+    out = conv2d_forward(x, k, None, 1)
+    assert out.shape == (2, 11 + 2 - 3 + 1, 9 + 2 - 3 + 1)
 
 
 def test_conv_bad_geometry():
     x = np.zeros((1, 2, 2), dtype=np.float32)
     k = np.zeros((1, 1, 5, 5), dtype=np.float32)
     with pytest.raises(ContractViolation):
-        conv2d_forward(x, k, None, 1, 0)
+        conv2d_forward(x, k, None, 0)
     with pytest.raises(ContractViolation):
-        conv2d_forward(x, np.zeros((1, 3, 3, 3), dtype=np.float32), None, 1, 1)
+        conv2d_forward(x, np.zeros((1, 3, 3, 3), dtype=np.float32), None, 1)
 
 
 # --- pooling -----------------------------------------------------------------
@@ -488,11 +490,11 @@ def test_ops_are_pure_and_deterministic():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((3, 8, 8)).astype(np.float32)
     k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-    a = conv2d_forward(x, k, None, 1, 1)
-    b = conv2d_forward(x, k, None, 1, 1)
+    a = conv2d_forward(x, k, None, 1)
+    b = conv2d_forward(x, k, None, 1)
     assert np.array_equal(a, b)
     layer = DenseLayer(rng.standard_normal((4, 5)).astype(np.float32),
-                       rng.standard_normal(4).astype(np.float32), Activation.GELU)
+                       rng.standard_normal(4).astype(np.float32))
     v = rng.standard_normal(5).astype(np.float32)
     assert np.array_equal(dense_forward(layer, v), dense_forward(layer, v))
 
@@ -509,18 +511,16 @@ def ref_maxpool(x):
     return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
 
 
-def ref_conv(x, kernels, bias, stride, padding):
+def ref_conv(x, kernels, bias, padding):
     c, h, w = x.shape
     cout, _, kh, kw = kernels.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    out_h = h + 2 * padding - kh + 1
+    out_w = w + 2 * padding - kw + 1
     padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((c, kh * kw, out_h * out_w), dtype=np.float64)
     for u in range(kh):
-        rows = slice(u, u + (out_h - 1) * stride + 1, stride)
         for v in range(kw):
-            csel = slice(v, v + (out_w - 1) * stride + 1, stride)
-            cols[:, u * kw + v, :] = padded[:, rows, csel].reshape(c, -1)
+            cols[:, u * kw + v, :] = padded[:, u : u + out_h, v : v + out_w].reshape(c, -1)
     out = kernels.reshape(cout, -1).astype(np.float64) @ cols.reshape(c * kh * kw, -1)
     out += bias[:, None]
     return out.reshape(cout, out_h, out_w).astype(np.result_type(x, kernels))
@@ -586,18 +586,17 @@ def test_maxpool_bitwise_equals_reshape_max(x):
     x=_planes(_f32(), max_side=9),
     cout=st.integers(1, 3),
     k=st.integers(1, 3),
-    stride=st.integers(1, 2),
     padding=st.integers(0, 2),
     data=st.data(),
 )
-def test_conv_bitwise_equals_reshape_im2col(x, cout, k, stride, padding, data):
+def test_conv_bitwise_equals_reshape_im2col(x, cout, k, padding, data):
     c, h, w = x.shape
     if k > h + 2 * padding or k > w + 2 * padding:
         return
     kernels = data.draw(hnp.arrays(np.float32, (cout, c, k, k), elements=_f32()))
     bias = data.draw(hnp.arrays(np.float32, (cout,), elements=_f32()))
-    got = conv2d_forward(x, kernels, bias, stride=stride, padding=padding)
-    assert_bitwise(got, ref_conv(x, kernels, bias, stride, padding))
+    got = conv2d_forward(x, kernels, bias, padding=padding)
+    assert_bitwise(got, ref_conv(x, kernels, bias, padding))
 
 
 @settings(max_examples=80, deadline=None)
@@ -670,23 +669,22 @@ def test_softmax_bitwise_equals_expression(m, transposed):
     x=_planes(_f32(), max_side=9),
     cout=st.integers(1, 3),
     k=st.sampled_from([1, 3]),
-    stride=st.integers(1, 2),
     padding=st.integers(0, 1),
     band_rows=st.integers(1, 4),
     data=st.data(),
 )
-def test_banded_conv_bitwise_equals_one_shot_im2col(x, cout, k, stride, padding, band_rows, data):
+def test_banded_conv_bitwise_equals_one_shot_im2col(x, cout, k, padding, band_rows, data):
     """Bands of ``band_rows`` output rows (often not dividing out_h) against
     the single patch matrix conv2d_forward built before it worked in bands."""
     c, h, w = x.shape
     if k > h + 2 * padding or k > w + 2 * padding:
         return
-    out_w = (w + 2 * padding - k) // stride + 1
+    out_w = w + 2 * padding - k + 1
     kernels = data.draw(hnp.arrays(np.float32, (cout, c, k, k), elements=_f32()))
     bias = data.draw(hnp.arrays(np.float32, (cout,), elements=_f32()))
     with mock.patch.object(nncore, "_IM2COL_BAND_BYTES", 8 * c * k * k * out_w * band_rows):
-        got = conv2d_forward(x, kernels, bias, stride=stride, padding=padding)
-    assert_bitwise(got, ref_conv(x, kernels, bias, stride, padding))
+        got = conv2d_forward(x, kernels, bias, padding=padding)
+    assert_bitwise(got, ref_conv(x, kernels, bias, padding))
 
 
 def ref_attention(tokens, params, heads, rows=None):
