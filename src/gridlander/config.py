@@ -111,7 +111,9 @@ def load_config(path: Optional[str]) -> AppConfig:
     if not p.exists():
         raise ContractViolation(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"config file {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ContractViolation(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):

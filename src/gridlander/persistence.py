@@ -391,7 +391,10 @@ LABELS_HEADER = "image,x_min,y_min,x_max,y_max,objectness"
 
 
 def read_sample_records(path) -> list[SampleRecord]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc}") from None
     if not lines or lines[0].strip() != LABELS_HEADER:
         raise FormatError(f"{path}: expected header '{LABELS_HEADER}'")
     records = []
@@ -416,7 +419,7 @@ def write_sample_records(path, records: Sequence[SampleRecord]) -> None:
         lines.append(
             f"{r.image_path},{r.x_min!r},{r.y_min!r},{r.x_max!r},{r.y_max!r},{r.objectness}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # --- traces and reports ------------------------------------------------------

@@ -15,6 +15,8 @@ applied at inference.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,6 +197,33 @@ class VitalWeights:
     head_box: HeadWeights
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Every temporary a frame frees is under 2 MB and a frame's working set is
+# about 20 MB, but a ``detect --batch`` call also loads, then frees, a 25 MB
+# weight tree. Setting either parameter turns off glibc's dynamic adjustment
+# of both, so both are set: blocks up to 32 MiB (glibc's cap for the mmap
+# threshold on 64-bit) come from the heap, and up to 64 MiB of freed heap
+# stays mapped instead of being returned and faulted in again next frame.
+_MMAP_THRESHOLD_BYTES = 32 * 2**20
+_TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+@functools.cache
+def _pin_heap_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds for this process; False, and
+    nothing set, where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    return True
+
+
 def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     """The weight tree for ``config``: biases, shifts and BN means start at 0
     and scales and BN variances at 1. Convolution kernels are fan-in-scaled
@@ -203,8 +232,18 @@ def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     Loads the GELU's ``erf`` here (``nncore.load_erf``: scipy's compiled
     ufunc extension, without the ``scipy.special`` package), so that every
     process that builds or loads a detector pays that load during its set-up
-    and never inside its first ``detect``."""
+    and never inside its first ``detect``.
+
+    Also pins glibc's heap thresholds once per process
+    (``_pin_heap_thresholds``): mmap threshold 32 MiB, trim threshold
+    64 MiB. Without them, the temporaries a frame frees go back to the
+    kernel and the next frame faults about 9k pages back in, zeroed
+    (~37 MB, 16-25 ms of system time per frame). The trade-off: a detector
+    process keeps up to 64 MiB of freed heap mapped until it exits. glibc
+    only; where the C library has no ``mallopt`` nothing is set. Only
+    detector processes churn, so other commands keep glibc's defaults."""
     load_erf()
+    _pin_heap_thresholds()
     d = config.token_dim
 
     def draw(shape: tuple, std: Optional[float] = None) -> np.ndarray:

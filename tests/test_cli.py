@@ -440,6 +440,21 @@ def test_detect_batch_non_numeric_label_exit_2(tmp_path, capsys, field):
     assert not out_json.exists()
 
 
+def test_detect_batch_labels_not_utf8_exit_2(tmp_path, capsys):
+    """A labels.csv that is not UTF-8 names the file, whatever the locale."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_ppm(batch / "img_0.ppm", make_image(60))
+    (batch / "labels.csv").write_bytes(
+        f"{LABELS_HEADER}\n".encode() + b"img_0.ppm\xff\xfe,0.25,0.25,0.75,0.75,1\n"
+    )
+    out_json = tmp_path / "metrics.json"
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--out", str(out_json))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "labels.csv" in err and "not UTF-8" in err
+    assert not out_json.exists()
+
+
 def test_detect_batch_missing_frame_exit_2_before_any_work(tmp_path, capsys):
     """A labels.csv row naming a missing frame stops detect before it loads
     weights or prints a detection, whatever rows come before it."""
@@ -734,6 +749,16 @@ def test_config_value_errors_exit_2(tmp_path, capsys, raw):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(raw))
     _assert_one_line_usage_error(*run(capsys, "--config", str(cfg), "oracle"))
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"env": \xff}')
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "--config", str(cfg), "train", "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert str(cfg) in err and "not UTF-8" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

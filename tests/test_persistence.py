@@ -537,10 +537,11 @@ def test_ppm_bad_channel_order():
 def test_sample_records_roundtrip(tmp_path):
     records = [
         SampleRecord("img_000.ppm", 0.1, 0.2, 0.3, 0.4, 1),
-        SampleRecord("img_001.ppm", 0.0, 0.0, 0.0, 0.0, 0),
+        SampleRecord("bild_ä.ppm", 0.0, 0.0, 0.0, 0.0, 0),
     ]
     path = tmp_path / "labels.csv"
     write_sample_records(path, records)
+    assert "bild_ä.ppm".encode("utf-8") in path.read_bytes()  # UTF-8 whatever the locale
     back = read_sample_records(path)
     assert back == records
     assert back[0].truth is not None

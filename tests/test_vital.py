@@ -1,11 +1,17 @@
+import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlander import vital
 from gridlander.errors import ContractViolation, NumericFault
 from gridlander.persistence import vital_tensors
 from gridlander.rng import Rng
@@ -263,6 +269,11 @@ def golden_frames():
         yield MultimodalImage(planes)
 
 
+def detection_bytes(det):
+    b = det.bbox
+    return np.array([det.objectness, b.x_min, b.y_min, b.x_max, b.y_max], np.float64).tobytes()
+
+
 def test_detector_golden_digests():
     w = init_weights(CFG, seed=0)
     digests = {name: hashlib.sha256() for name in GOLDEN}
@@ -273,10 +284,7 @@ def test_detector_golden_digests():
         for m, s in zip(MODALITIES, stems):
             digests[m].update(s.tobytes())
         digests["encoder"].update(encoder_forward(assemble_tokens(*stems, w), w).tobytes())
-        det = detect(img, w)
-        b = det.bbox
-        row = np.array([det.objectness, b.x_min, b.y_min, b.x_max, b.y_max], dtype=np.float64)
-        digests["detect"].update(row.tobytes())
+        digests["detect"].update(detection_bytes(detect(img, w)))
     assert {name: h.hexdigest() for name, h in digests.items()} == GOLDEN
 
 
@@ -344,3 +352,51 @@ def test_detect_traced_peak_under_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# --- heap thresholds ----------------------------------------------------------------
+#
+# Building a detector pins glibc's mmap and trim thresholds, so the temporaries
+# one frame frees stay mapped for the next frame instead of being faulted back
+# in (about 9k minor faults per frame without the pin).
+
+STEADY_STATE_FAULTS = """
+import resource
+import numpy as np
+from gridlander.vital import MultimodalImage, VitalConfig, detect, init_weights
+w = init_weights(VitalConfig(), 0)
+img = MultimodalImage(np.random.default_rng(1).random((3, 160, 160)).astype(np.float32))
+for _ in range(2):
+    detect(img, w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    detect(img, w)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="C library has no mallopt")
+def test_steady_state_frames_take_no_page_faults():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", STEADY_STATE_FAULTS],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 100
+
+
+def test_detector_builds_without_mallopt(monkeypatch):
+    """Where the C library has no ``mallopt`` nothing is pinned, and the
+    detector builds and detects as before."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    vital._pin_heap_thresholds.cache_clear()
+    try:
+        w = init_weights(CFG, seed=0)
+        assert vital._pin_heap_thresholds() is False
+        digest = hashlib.sha256()
+        for img in golden_frames():
+            digest.update(detection_bytes(detect(img, w)))
+        assert digest.hexdigest() == GOLDEN["detect"]
+    finally:
+        vital._pin_heap_thresholds.cache_clear()
