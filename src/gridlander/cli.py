@@ -97,6 +97,7 @@ def _cmd_train(args, cfg: AppConfig) -> int:
     train_cfg = cfg.train
     if args.episodes is not None:
         train_cfg = replace(train_cfg, episodes=args.episodes)
+    dqn.check_q_network_env(cfg.env)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -134,6 +135,7 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
         solution = tabular.value_iteration(mdp, cfg.train.gamma)
         result = tabular.evaluate_on_table(mdp, solution.policy, args.episodes, args.seed)
     else:
+        dqn.check_q_network_env(env_cfg)
         result = dqn.evaluate(net, env_cfg, args.episodes, args.seed)
 
     print(f"success rate: {result.success_rate:.3f}")
@@ -170,6 +172,8 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
         labelled = labels_path.exists()
         if labelled:
             records = persistence.read_sample_records(labels_path)
+            if not records:
+                raise ContractViolation(f"{labels_path} lists no images")
             paths_and_truths = [(batch_dir / r.image_path, r.truth) for r in records]
         else:
             paths_and_truths = [(p, None) for p in sorted(batch_dir.glob("*.ppm"))]

@@ -1,7 +1,7 @@
 """Configuration file handling.
 
 Settings live in a JSON document with optional sections ``env``, ``train``,
-``camera``, ``detector`` and ``ppm_channel_order``. Resolution order for
+``detector`` and ``ppm_channel_order``. Resolution order for
 every effective value: command-line flag > config file > built-in default.
 The environment variable GRIDLANDER_CONFIG supplies the file path when no
 --config flag is given. Unknown sections or keys are rejected before any
@@ -20,19 +20,17 @@ from typing import Optional, Sequence
 from .dqn import TrainConfig
 from .env import EnvConfig
 from .errors import ContractViolation
-from .geometry import CameraFrame
 from .vital import MODALITIES, VitalConfig
 
 ENV_VAR = "GRIDLANDER_CONFIG"
 
-_SECTIONS = ("env", "train", "camera", "detector", "ppm_channel_order")
+_SECTIONS = ("env", "train", "detector", "ppm_channel_order")
 
 
 @dataclass
 class AppConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    camera: CameraFrame = field(default_factory=CameraFrame)
     detector: VitalConfig = field(default_factory=VitalConfig)
     channel_order: tuple[str, ...] = MODALITIES
 
@@ -42,8 +40,6 @@ def _fits(value, hint) -> bool:
     bools or strings, an int field takes only ints and a float field ints or
     floats, and a tuple field takes a list of its length."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        return value is None or _fits(value, args[0])
     if typing.get_origin(hint) is tuple:
         return (
             isinstance(value, (list, tuple))
@@ -91,8 +87,6 @@ def parse_config_dict(raw: dict) -> AppConfig:
         cfg.env = build_section(EnvConfig, raw["env"], "env")
     if "train" in raw:
         cfg.train = build_section(TrainConfig, raw["train"], "train")
-    if "camera" in raw:
-        cfg.camera = build_section(CameraFrame, raw["camera"], "camera")
     if "detector" in raw:
         cfg.detector = build_section(VitalConfig, raw["detector"], "detector")
     if "ppm_channel_order" in raw:

@@ -22,7 +22,7 @@ so a run is a pure function of (configs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .env import (
     LanderState,
     LandingEnv,
     Terminal,
+    _is_finite,
 )
 from .errors import ContractViolation, NumericFault
 from .nncore import (
@@ -116,6 +117,9 @@ class TrainConfig:
     stop_min_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not _is_finite(getattr(self, f.name)):
+                raise ContractViolation(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not 0.0 <= self.eps_final <= self.eps_initial <= 1.0:
             raise ContractViolation("need 0 <= eps_final <= eps_initial <= 1")
         if not 0.0 < self.gamma <= 1.0:
@@ -126,6 +130,14 @@ class TrainConfig:
             raise ContractViolation("episodes and batch_size must be positive")
         if self.replay_capacity < self.batch_size:
             raise ContractViolation("replay capacity smaller than one batch")
+        if self.replay_capacity >= 2**53:  # the bound EnvConfig puts on cells per axis
+            raise ContractViolation("replay_capacity must lie below 2**53")
+        if self.learning_rate <= 0.0:
+            raise ContractViolation("learning_rate must be positive")
+        if self.eps_decrement < 0.0:
+            raise ContractViolation("eps_decrement must be non-negative")
+        if self.stop_window < 1:
+            raise ContractViolation("stop_window must be at least 1")
 
 
 def epsilon_schedule(completed_episodes: int, cfg: TrainConfig) -> float:
@@ -182,6 +194,16 @@ class ReplayBuffer:
         return ReplayBatch(*(ring[idx] for ring in self._rings))
 
 
+def check_q_network_env(env_cfg: EnvConfig) -> None:
+    """Reject an env the Q-network cannot run on: ``normalize_state``
+    divides by each range's upper bound, and episodes need a start cell."""
+    for name in ("x_range", "y_range", "z_range"):
+        if getattr(env_cfg, name)[1] == 0:
+            raise ContractViolation(f"{name} ends at 0, and the Q-network's input divides by it")
+    if not env_cfg.start_axes[2]:
+        raise ContractViolation("no eligible start altitudes")
+
+
 def normalize_state(state: LanderState, env_cfg: EnvConfig) -> np.ndarray:
     """Scale offsets by the grid extents before the network sees them."""
     return np.array(
@@ -225,6 +247,9 @@ def select_action(
     return Action(int(np.argmax(q_values(net, state, env_cfg))))
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
+
 class AdamOptimizer:
     """Adam with bias correction over one float32 parameter vector.
 
@@ -232,28 +257,27 @@ class AdamOptimizer:
     are computed in place, in the order of the textbook expression.
     """
 
-    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    def __init__(self, params: np.ndarray) -> None:
         self.m, self.v, self.grad, self._tmp, self._den = (np.zeros_like(params) for _ in range(5))
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _BETA1**self.t
+        b2c = 1.0 - _BETA2**self.t
         m, v, tmp, den = self.m, self.v, self._tmp, self._den
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=tmp)
+        m *= _BETA1
+        np.multiply(grads, 1.0 - _BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=tmp)
+        v *= _BETA2
+        np.multiply(grads, 1.0 - _BETA2, out=tmp)
         tmp *= grads
         v += tmp
         # p -= (lr / b1c) * m / (sqrt(v / b2c) + eps)
         np.multiply(m, lr / b1c, out=tmp)
         np.divide(v, b2c, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += _EPS
         tmp /= den
         params -= tmp
 

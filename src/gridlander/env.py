@@ -112,7 +112,8 @@ class EnvConfig:
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if lo > hi:
                 raise ContractViolation(f"{name}_range is not ordered")
-            if not math.isfinite((float(hi) - float(lo)) / self.resolution):
+            # past 2**53 cells a float no longer counts them exactly
+            if not (float(hi) - float(lo)) / self.resolution < 2**53:
                 raise ContractViolation(
                     f"{name}_range spans too many cells at resolution {self.resolution}"
                 )

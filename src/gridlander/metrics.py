@@ -151,9 +151,10 @@ def ap_range(samples: Sequence[EvalSample]) -> tuple[float, float]:
     return aps[0], float(np.mean(aps))
 
 
-def metrics_report(samples: Sequence[EvalSample], threshold: float = 0.5) -> dict:
-    """The five-column summary used by the text table and JSON output."""
-    counts = classification_counts(samples, threshold)
+def metrics_report(samples: Sequence[EvalSample]) -> dict:
+    """The five-column summary used by the text table and JSON output, with
+    objectness >= 0.5 counted as a positive prediction."""
+    counts = classification_counts(samples)
     r = recall(counts)
     ap50, ap50_95 = ap_range(samples)
     return {

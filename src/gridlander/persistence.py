@@ -54,13 +54,6 @@ class SchemaError(FormatError):
     """The content does not match the requested model kind."""
 
 
-@dataclass
-class Checkpoint:
-    model_kind: str
-    config: dict
-    tensors: dict[str, np.ndarray]
-
-
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -146,14 +139,14 @@ def _payload_crc(fh, length: int) -> int:
     return crc
 
 
-def _read_checkpoint(path, expect_kind: Optional[str], destination):
-    """The reader behind every checkpoint loader. It checks the magic, the
+def _read_checkpoint(path, kind: str, build):
+    """The reader behind both checkpoint loaders. It checks the magic, the
     version, the header JSON and the payload CRC (streamed in chunks), then
-    the header's structure and model kind. Only then does
-    ``destination(kind, config, entries)`` run; it returns what the loader
-    returns and the float32 arrays, by tensor name, that the file's tensors
-    must match in name and shape. Each tensor is read straight into its
-    array, so no buffer the size of the file ever exists."""
+    the header's structure and model kind. Only then does ``build(config)``
+    run; it returns what the loader returns and the float32 arrays, by
+    tensor name, that the file's tensors must match in name and shape. Each
+    tensor is read straight into its array, so no buffer the size of the
+    file ever exists."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         lead = fh.read(len(MAGIC) + 8)
@@ -177,13 +170,10 @@ def _read_checkpoint(path, expect_kind: Optional[str], destination):
         problem = _header_problem(header, payload_len)
         if problem:
             raise IntegrityError(f"{path}: malformed header ({problem})")
-        kind = header.get("model_kind")
-        if kind not in MODEL_KINDS:
-            raise SchemaError(f"{path}: unknown model kind {kind!r}")
-        if expect_kind is not None and kind != expect_kind:
-            raise SchemaError(f"{path}: checkpoint holds {kind!r}, expected {expect_kind!r}")
+        if header.get("model_kind") != kind:
+            raise SchemaError(f"{path}: checkpoint holds {header.get('model_kind')!r}, expected {kind!r}")
         entries = header["tensors"]
-        result, arrays = destination(kind, header.get("config", {}), entries)
+        result, arrays = build(header.get("config", {}))
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
         missing = [name for name in arrays if name not in shapes]
         if missing:
@@ -202,19 +192,6 @@ def _read_checkpoint(path, expect_kind: Optional[str], destination):
             if sys.byteorder == "big":  # the file holds little-endian floats
                 arr.byteswap(inplace=True)
     return result
-
-
-def load_checkpoint(path, expect_kind: Optional[str] = None) -> Checkpoint:
-    """Any checkpoint's kind, config and tensors, as read-only arrays."""
-
-    def fresh(kind, config, entries):
-        tensors = {entry["name"]: np.empty(entry["shape"], np.float32) for entry in entries}
-        return Checkpoint(kind, config, tensors), tensors
-
-    ckpt = _read_checkpoint(path, expect_kind, fresh)
-    for arr in ckpt.tensors.values():
-        arr.flags.writeable = False
-    return ckpt
 
 
 # --- weight trees <-> tensor dicts ---------------------------------------------
@@ -269,7 +246,7 @@ def save_vital_checkpoint(path, weights: VitalWeights) -> None:
 
 
 def load_vital_checkpoint(path) -> VitalWeights:
-    def empty(kind, config, entries):
+    def empty(config):
         missing = [f.name for f in fields(VitalConfig) if f.name not in config]
         if missing:
             raise SchemaError(f"{path}: detector config lacks {missing}")
@@ -284,7 +261,7 @@ def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
 
 
 def load_dqn_checkpoint(path) -> tuple[QNetwork, dict]:
-    def empty(kind, config, entries):
+    def empty(config):
         net = empty_qnetwork()
         return (net, config), qnetwork_tensors(net)
 
@@ -365,7 +342,7 @@ def _ppm_header_fields(path, data: bytes) -> tuple[list[bytes], int]:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One dataset line: image path plus (corners, binary objectness)."""
+    """One dataset line: image path plus (corners in [0, 1], binary objectness)."""
 
     image_path: str
     x_min: float
@@ -378,7 +355,9 @@ class SampleRecord:
         if self.objectness not in (0, 1):
             raise ContractViolation("label objectness must be 0 or 1")
         if self.objectness == 1:
-            BBox(self.x_min, self.y_min, self.x_max, self.y_max)  # validity check
+            box = BBox(self.x_min, self.y_min, self.x_max, self.y_max)  # validity check
+            if not all(0.0 <= v <= 1.0 for v in box.corners):
+                raise ContractViolation(f"box corners {box.corners} are not normalized to [0, 1]")
 
     @property
     def truth(self) -> Optional[BBox]:
@@ -409,7 +388,10 @@ def read_sample_records(path) -> list[SampleRecord]:
             objectness = int(parts[5])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric box or objectness field") from None
-        records.append(SampleRecord(parts[0], *corners, objectness))
+        try:
+            records.append(SampleRecord(parts[0], *corners, objectness))
+        except ContractViolation as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

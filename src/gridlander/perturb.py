@@ -34,18 +34,16 @@ def disable_modalities(img: MultimodalImage, which: Iterable[str]) -> Multimodal
     return MultimodalImage(planes)
 
 
-def brightness(img: MultimodalImage, delta: float, all_channels: bool = False) -> MultimodalImage:
+def brightness(img: MultimodalImage, delta: float) -> MultimodalImage:
     """Scale intensity by (1 + delta), clamped to [0, 1].
 
-    Lighting changes act on the visual plane by default; ``all_channels``
-    extends the scaling to thermal and lidar.
+    Lighting changes act on the visual plane only.
     """
     if not -1.0 <= delta <= 1.0:
         raise ContractViolation("brightness delta must lie in [-1,1]")
     planes = img.planes.copy()
-    targets = range(3) if all_channels else (_MODALITY_INDEX["visual"],)
-    for i in targets:
-        planes[i] = np.clip(planes[i] * np.float32(1.0 + delta), 0.0, 1.0)
+    i = _MODALITY_INDEX["visual"]
+    planes[i] = np.clip(planes[i] * np.float32(1.0 + delta), 0.0, 1.0)
     return MultimodalImage(planes)
 
 

@@ -110,11 +110,12 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _tick_values(lo: float, hi: float, n: int = 6) -> list[float]:
+def _tick_values(lo: float, hi: float) -> list[float]:
+    """Six evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + step * i for i in range(n)]
+    step = (hi - lo) / 5
+    return [lo + step * i for i in range(6)]
 
 
 def reward_curve_svg(trace: RewardTrace) -> str:

@@ -12,8 +12,8 @@ Every solver reads the table's successor rows directly. One lockstep
 rollout on the table steps many starts at once: every eligible start for
 the all-starts success rate, and seeded random starts for
 ``evaluate_on_table``, which ``eval --oracle`` runs. It keeps the terminal
-rules of ``policy_rollout`` and ``LandingEnv.step``, the live rollouts it is
-tested against.
+rules of ``LandingEnv.step``, which the live rollouts it is tested against
+(``policy_rollout`` and ``dqn.evaluate_policy``) step.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dqn import EpisodeLog, EpisodeStep, EvalResult, summarize_episodes
-from .env import START_ALTITUDE, Action, LanderState, MdpTable, Terminal, reset_state, transition
+from .dqn import EpisodeLog, EpisodeStep, EvalResult, rollout, summarize_episodes
+from .env import START_ALTITUDE, Action, LanderState, LandingEnv, MdpTable, Terminal, reset_state
+from .env import transition  # unused here; perfbench/tracer.py wraps tabular.transition by name
 from .errors import ContractViolation
 from .rng import Rng
 
@@ -37,8 +38,12 @@ class TabularSolution:
     sweeps: int
 
 
-def value_iteration(mdp: MdpTable, gamma: float, tol: float = 1e-9, max_sweeps: int = 200000):
-    """Sweep Bellman optimality backups until the sup-norm residual < tol.
+_VI_TOL = 1e-9  # sup-norm residual at which value iteration stops
+_TIE_TOL = 1e-9  # an action within this of the optimal Q counts as optimal
+
+
+def value_iteration(mdp: MdpTable, gamma: float, max_sweeps: int = 200000):
+    """Sweep Bellman optimality backups until the sup-norm residual < _VI_TOL.
 
     Each sweep is a Jacobi backup over action-major (5, n) copies of the
     table, so the maximum over actions is an elementwise maximum of five
@@ -59,7 +64,7 @@ def value_iteration(mdp: MdpTable, gamma: float, tol: float = 1e-9, max_sweeps: 
         np.take(padded, src, out=q, mode="clip")  # every index is valid; "raise" buffers out
         q *= gamma
         q += rewards
-        if sweeps >= max_sweeps or delta < tol:
+        if sweeps >= max_sweeps or delta < _VI_TOL:
             break
         np.maximum.reduce(q, axis=0, out=new_values)
         values -= new_values  # |old - new| is |new - old| bit for bit
@@ -191,40 +196,26 @@ def _sweep(updates: list, maxima: np.ndarray, q: np.ndarray, gamma: float, alpha
         maxima[columns] = block.max(axis=0)
 
 
-def greedy_agreement(q_learned: np.ndarray, q_optimal: np.ndarray, tol: float = 1e-9) -> float:
+def greedy_agreement(q_learned: np.ndarray, q_optimal: np.ndarray) -> float:
     """Fraction of states where the learned greedy action is optimal.
 
-    An action agrees when it attains the optimal Q within tol, so exact
+    An action agrees when it attains the optimal Q within _TIE_TOL, so exact
     ties in the optimal table (symmetric states) are not disagreements.
     """
     best = q_optimal.max(axis=1, keepdims=True)
-    optimal_set = q_optimal >= best - tol
+    optimal_set = q_optimal >= best - _TIE_TOL
     picks = q_learned.argmax(axis=1)
     return float(np.mean(optimal_set[np.arange(len(picks)), picks]))
 
 
 def policy_rollout(mdp: MdpTable, policy: np.ndarray, start: LanderState):
-    """Follow a tabular policy from a start state on the live dynamics, for
-    at most the table config's ``max_steps`` steps.
+    """Follow a tabular policy from a start state with ``dqn.rollout`` on the
+    live windless env, for at most the table config's ``max_steps`` steps.
 
     Returns (states visited, total reward, terminal kind).
     """
-    state = start
-    states = [state]
-    total = 0.0
-    terminal = Terminal.NONE
-    for _ in range(mdp.config.max_steps):
-        row = mdp.row_of(state)
-        out = transition(state, Action(int(policy[row])), mdp.config)
-        total += out.reward
-        state = out.next
-        states.append(state)
-        terminal = out.terminal
-        if terminal is not Terminal.NONE:
-            break
-    else:
-        terminal = Terminal.MAX_STEPS
-    return states, total, terminal
+    log = rollout(lambda s: Action(int(policy[mdp.row_of(s)])), LandingEnv(mdp.config), start)
+    return [start] + [step.state for step in log.steps], log.total_reward, log.terminal
 
 
 def success_rate_from_all_starts(

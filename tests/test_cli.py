@@ -1,7 +1,7 @@
 import hashlib
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gridlander import perturb
 from gridlander.cli import main
-from gridlander.dqn import init_qnetwork
+from gridlander.dqn import TrainConfig, init_qnetwork
+from gridlander.env import EnvConfig
 from gridlander.persistence import (
     LABELS_HEADER,
     SampleRecord,
@@ -99,6 +100,32 @@ def test_train_invalid_episodes(tmp_path, capsys):
     assert code == 2
     assert "error" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "raw,named",
+    [
+        ({"train": {"stop_window": -3}}, "stop_window"),
+        ({"train": {"stop_window": 0}}, "stop_window"),
+        ({"train": {"learning_rate": -1}}, "learning_rate"),
+        ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
+        ({"train": {"eps_decrement": -0.5}}, "eps_decrement"),
+        ({"train": {"replay_capacity": 10**18}}, "replay_capacity"),
+        ({"env": {"x_range": [-6, 0]}}, "x_range"),
+        ({"env": {"y_range": [-6, 0]}}, "y_range"),
+        ({"env": {"x_range": [-1e18, 1e18]}}, "x_range"),
+        ({"env": {"z_range": [0, 1]}}, "no eligible start altitudes"),
+    ],
+)
+def test_train_rejects_unusable_settings_before_writing(tmp_path, capsys, raw, named):
+    """Settings that used to end in a traceback, a silent misreading or a late
+    exit 2 are rejected with one line before --out exists."""
+    cfg, out = tmp_path / "bad.json", tmp_path / "o"
+    cfg.write_text(json.dumps(raw))
+    code, stdout, err = run(capsys, "--config", str(cfg), "train", "--episodes", "3", "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert named in err
+    assert not out.exists()
 
 
 # --- eval --------------------------------------------------------------------
@@ -194,6 +221,24 @@ def test_eval_checkpoint_wind_keeps_stored_grid(tmp_path, capsys):
         for row in trace.read_text().splitlines()[1:]:
             dx, dy, dz = (float(v) for v in row.split(",")[1:4])
             assert abs(dx) <= 2 and abs(dy) <= 2 and 0 <= dz <= 3
+
+
+@pytest.mark.parametrize("env", [{"x_range": [-2, 0]}, {"y_range": [-2, 0]}])
+def test_eval_checkpoint_rejects_a_range_ending_at_zero(tmp_path, capsys, env):
+    """The Q-network's input divides by each range's upper bound; the oracle
+    commands, which read no Q-network, keep accepting such a grid."""
+    ckpt, out = tmp_path / "dqn.ckpt", tmp_path / "o"
+    save_dqn_checkpoint(ckpt, init_qnetwork(0), {"env": {**SMALL_ENV["env"], **env}})
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--episodes", "2",
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert list(env)[0] in err
+    assert not out.exists()
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"env": {**SMALL_ENV["env"], **env}}))
+    for command in (["oracle", "--ql-steps", "500"], ["eval", "--oracle", "--episodes", "2"]):
+        code, _, err = run(capsys, "--config", str(cfg), *command)
+        assert (code, err) == (0, "")
 
 
 def test_eval_needs_checkpoint_or_oracle(capsys):
@@ -437,6 +482,36 @@ def test_detect_batch_non_numeric_label_exit_2(tmp_path, capsys, field):
     code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--out", str(out_json))
     _assert_one_line_usage_error(code, stdout, err)
     assert "labels.csv:2:" in err
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("row", ["img_0.ppm,10,10,50,50,1", "img_0.ppm,-0.25,0.25,0.75,0.75,1",
+                                 "img_0.ppm,0.25,0.25,0.75,1.5,1"])
+def test_detect_batch_label_outside_unit_square_exit_2(tmp_path, capsys, row):
+    """Box corners are normalized to [0, 1]; a labelled row outside names the
+    file and line, instead of scoring AP 0 against a box no detection reaches."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_ppm(batch / "img_0.ppm", make_image(60))
+    (batch / "labels.csv").write_text(f"{LABELS_HEADER}\n{row}\n")
+    out_json = tmp_path / "metrics.json"
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--out", str(out_json))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "labels.csv:2:" in err and "[0, 1]" in err
+    assert not out_json.exists()
+
+
+def test_detect_batch_labels_without_rows_exit_2_before_weights(tmp_path, capsys):
+    """A labels.csv with only its header scores no image: detect exits 2
+    before it reads weights, as for an unlabelled directory with no frame."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "labels.csv").write_text(f"{LABELS_HEADER}\n")
+    out_json = tmp_path / "metrics.json"
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--out", str(out_json),
+                            "--checkpoint", str(tmp_path / "missing.ckpt"))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "labels.csv lists no images" in err  # not the missing checkpoint
     assert not out_json.exists()
 
 
@@ -824,3 +899,125 @@ def test_missing_config_file(capsys):
 
 def test_unknown_subcommand_usage(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# --- every subcommand under drawn inputs -----------------------------------------
+
+_ODD_VALUES = [-3, -1, 0, 0.5, 1, 2, 10**400, float("nan"), float("inf"), "1", None, True, [1, 2, 3]]
+_RANGES = [[-2, 0], [-2, -0.0], [0, 2], [2, -2], [-2.5, 2], [0, 1], [0, 0], [1, 3], [-1e18, 1e18], 5]
+_SECTION_KEYS = {
+    "env": [f.name for f in fields(EnvConfig)] + ["typo"],
+    "train": [f.name for f in fields(TrainConfig)] + ["typo"],
+    "detector": [f.name for f in fields(VitalConfig)] + ["typo"],
+}
+_LABEL_ROWS = [
+    "img.ppm,0.25,0.25,0.75,0.75,1", "img.ppm,0,0,0,0,0", "img.ppm,0.1,0.2,0.3,0.4,1",
+    "img.ppm,0,0,1,1,0", "img.ppm,10,10,50,50,1",
+    "img.ppm,-0.5,0,1,1,1", "img.ppm,0.5,0.5,0.1,0.1,1", "img.ppm,nan,0,1,1,1", "img.ppm,0,0,1,1,2",
+    "img.ppm,abc,0,1,1,1", "img.ppm,0,0,1,1", "missing.ppm,0,0,1,1,1", "bad.ppm,0,0,1,1,1",
+]
+_DIRECTIVES = ["flip_h", "fog=0.5,0.1", "fog=0.1,0.5", "disable=sonar", "brightness=0.3", "salt_pepper=2"]
+
+
+@st.composite
+def _fuzz_config(draw):
+    """Config file bytes, or None for a --config path with no file: the small
+    grid and detector with a few fields replaced, or not a config at all."""
+    kind = draw(st.sampled_from(["mutated"] * 12 + ["missing", "not json", "not an object", "not utf-8"]))
+    if kind != "mutated":
+        return {"missing": None, "not json": b"{", "not an object": b"[1]",
+                "not utf-8": b'{"env": \xff}'}[kind]
+    raw = {"env": dict(SMALL_ENV["env"]), "detector": asdict(SMALL_VITAL)}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        section = draw(st.sampled_from(["env", "env", "train", "train", "detector", "other"]))
+        if section == "other":
+            name = draw(st.sampled_from(["camera", "ppm_channel_order", "env", "train"]))
+            raw[name] = draw(st.sampled_from(
+                [{"width": 160}, ["lidar", "visual", "thermal"], ["visual"], 5, []]))
+        elif isinstance(raw.setdefault(section, {}), dict):
+            key = draw(st.sampled_from(_SECTION_KEYS[section]))
+            raw[section][key] = draw(st.sampled_from(_RANGES if key.endswith("range") else _ODD_VALUES))
+    return json.dumps(raw).encode()
+
+
+def _maybe(draw, flag, values):
+    return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command line with symbolic file names: OUT, BATCH and those of
+    ``fuzz_inputs``. Train runs one episode; bench one frame of the small
+    detector the config names."""
+    command = draw(st.sampled_from(["train", "eval", "eval", "oracle", "detect", "detect", "bench",
+                                    "perturb"]))
+    argv = _maybe(draw, "--seed", ["0", "7", "-1"]) + [command]
+    vital = ["vital.ckpt", "dqn.ckpt", "garbage.ckpt", "missing.ckpt"]
+    if command == "train":
+        argv += ["--out", "OUT", "--episodes", draw(st.sampled_from(["1", "1", "0", "-2", "x"]))]
+    elif command == "eval":
+        argv += draw(st.sampled_from([["--oracle"], [], ["--checkpoint", "dqn.ckpt"],
+                                      ["--checkpoint", "dqn_zero_bound.ckpt"],
+                                      ["--checkpoint", "vital.ckpt"], ["--checkpoint", "garbage.ckpt"]]))
+        argv += ["--episodes", draw(st.sampled_from(["2", "0", "-1"]))]
+        argv += _maybe(draw, "--wind", ["0.5", "2", "nan"]) + _maybe(draw, "--out", ["OUT"])
+    elif command == "oracle":
+        argv += ["--ql-steps", draw(st.sampled_from(["500", "0", "-3"]))]
+        argv += _maybe(draw, "--gamma", ["0.9", "1.5", "nan"])
+    elif command == "detect":
+        argv += draw(st.sampled_from([["--batch", "BATCH"], ["--batch", "BATCH"], ["--image", "img.ppm"],
+                                      ["--image", "bad.ppm"], ["--image", "missing.ppm"], []]))
+        argv += _maybe(draw, "--checkpoint", vital) + _maybe(draw, "--perturb", _DIRECTIVES)
+        argv += _maybe(draw, "--out", ["OUT"])
+    elif command == "bench":
+        argv += ["--iters", draw(st.sampled_from(["1", "0", "x"])),
+                 "--warmup", draw(st.sampled_from(["0", "-1"]))] + _maybe(draw, "--checkpoint", vital)
+    else:
+        argv += ["--image", draw(st.sampled_from(["img.ppm", "bad.ppm", "missing.ppm"])),
+                 "--perturb", draw(st.sampled_from(_DIRECTIVES)), "--out", "OUT"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The files a fuzzed command line may name; 'missing' ones do not exist."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    write_ppm(root / "img.ppm", make_image(70))
+    (root / "bad.ppm").write_bytes(b"P6\n160 16x\n255\n" + bytes(160 * 160 * 3))
+    save_vital_checkpoint(root / "vital.ckpt", init_weights(SMALL_VITAL, 0))
+    save_dqn_checkpoint(root / "dqn.ckpt", init_qnetwork(0), {"env": SMALL_ENV["env"]})
+    save_dqn_checkpoint(root / "dqn_zero_bound.ckpt", init_qnetwork(0),
+                        {"env": {**SMALL_ENV["env"], "y_range": [-2, 0]}})
+    (root / "garbage.ckpt").write_bytes(b"GRIDLANDER-CKPT\x00" + bytes(40))
+    return root
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(config=_fuzz_config(), argv=_fuzz_argv(), verbose=st.booleans(),
+       labels=st.none() | st.lists(st.sampled_from(_LABEL_ROWS), max_size=3).map(
+           lambda rows: "\n".join([LABELS_HEADER, *rows]) + "\n"))
+def test_cli_fuzzed_commands_configs_and_files(tmp_path, capsys, fuzz_inputs, config, argv,
+                                               verbose, labels):
+    """Any subcommand, with drawn flags, bad values, missing or malformed files,
+    mutated config JSON and labels.csv rows, exits 0, 1 or 2 without a
+    traceback, and leaves no --out behind when it exits 2."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        out, batch, cfg = work / "out", work / "batch", work / "config.json"
+        batch.mkdir()
+        for name in ("img.ppm", "bad.ppm"):
+            (batch / name).write_bytes((fuzz_inputs / name).read_bytes())
+        if labels is not None:
+            (batch / "labels.csv").write_text(labels)
+        if config is not None:
+            cfg.write_bytes(config)
+        paths = {"OUT": out, "BATCH": batch, **{p.name: p for p in fuzz_inputs.iterdir()},
+                 "missing.ppm": work / "missing.ppm", "missing.ckpt": work / "missing.ckpt"}
+        resolved = [str(paths.get(a, a)) for a in argv]
+        code, _, err = run(capsys, "--config", str(cfg), *(["--verbose"] if verbose else []),
+                           *resolved)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert not out.exists()

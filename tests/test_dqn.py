@@ -31,7 +31,7 @@ from gridlander.dqn import (
     td_update,
     train,
 )
-from gridlander.env import Action, EnvConfig, LanderState, Terminal, enumerate_mdp
+from gridlander.env import Action, EnvConfig, LanderState, Terminal, enumerate_mdp, transition
 from gridlander.errors import ContractViolation
 from gridlander.nncore import (
     DenseLayer,
@@ -779,6 +779,32 @@ def test_success_rate_needs_an_eligible_start():
     mdp = enumerate_mdp(EnvConfig(z_range=(0.0, 1.0)))
     with pytest.raises(ContractViolation, match="no eligible start altitudes"):
         success_rate_from_all_starts(mdp, np.zeros(mdp.n_nonterminal, dtype=np.int64))
+
+
+def policy_rollout_by_transition(mdp, policy, start):
+    """Reference: the policy followed over ``transition`` directly, with the
+    step budget counted here rather than by ``LandingEnv``."""
+    state, states, total = start, [start], 0.0
+    for _ in range(mdp.config.max_steps):
+        out = transition(state, Action(int(policy[mdp.row_of(state)])), mdp.config)
+        total += out.reward
+        state = out.next
+        states.append(state)
+        if out.terminal is not Terminal.NONE:
+            return states, total, out.terminal
+    return states, total, Terminal.MAX_STEPS
+
+
+@pytest.mark.parametrize("boundary_mode", ["clamp", "crash"])
+def test_policy_rollout_returns_what_its_own_loop_returned(boundary_mode):
+    mdp = enumerate_mdp(EnvConfig(x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), z_range=(0.0, 4.0),
+                                  max_steps=5, boundary_mode=boundary_mode))
+    rng = Rng(3)
+    random_policy = np.array([int(rng.integers(5)) for _ in range(mdp.n_nonterminal)])
+    for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
+        for i in mdp.nonterminal_indices:
+            start = table_state(mdp, int(i))
+            assert policy_rollout(mdp, policy, start) == policy_rollout_by_transition(mdp, policy, start)
 
 
 @pytest.mark.parametrize("boundary_mode", ["clamp", "crash"])

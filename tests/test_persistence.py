@@ -15,11 +15,9 @@ from gridlander.dqn import EpisodeLog, EpisodeStep, RewardTrace, init_qnetwork
 from gridlander.env import Action, LanderState, Terminal
 from gridlander.errors import ContractViolation
 from gridlander.persistence import (
-    Checkpoint,
     FormatError,
     IntegrityError,
     SchemaError,
-    load_checkpoint,
     load_dqn_checkpoint,
     load_vital_checkpoint,
     qnetwork_tensors,
@@ -43,37 +41,33 @@ from gridlander.vital import MODALITIES, MultimodalImage, VitalConfig, empty_wei
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    tensors = {
-        "a": rng.standard_normal((3, 4)).astype(np.float32),
-        "b": np.array([0.0, -0.0, 1.5, -2.25], dtype=np.float32),
-    }
+    net = init_qnetwork(0)
+    net.flat[:4] = np.array([0.0, -0.0, 1e-45, -2.25], dtype=np.float32)  # 1e-45: a subnormal
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, "dqn", {"note": 1}, tensors)
-    loaded = load_checkpoint(path)
-    assert loaded.model_kind == "dqn"
-    assert loaded.config == {"note": 1}
-    for name, arr in tensors.items():
-        assert loaded.tensors[name].tobytes() == arr.tobytes()  # incl. signed zero
-    # negative zero preserved bit-for-bit
-    assert np.signbit(loaded.tensors["b"][1])
+    save_dqn_checkpoint(path, net, {"note": 1})
+    loaded, config = load_dqn_checkpoint(path)
+    assert config == {"note": 1}
+    assert loaded.flat.tobytes() == net.flat.tobytes()  # incl. signed zero
+    # negative zero and the subnormal preserved bit-for-bit
+    assert np.signbit(loaded.flat[1])
+    assert loaded.flat[2] == np.float32(1e-45) != 0.0
 
 
 def test_checkpoint_flipped_byte_fails_checksum(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, "dqn", {}, {"a": np.ones(8, dtype=np.float32)})
+    save_dqn_checkpoint(path, init_qnetwork(0), {})
     raw = bytearray(path.read_bytes())
     raw[-7] ^= 0xFF  # inside the payload
     path.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError):
-        load_checkpoint(path)
+        load_dqn_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "x.ckpt"
     path.write_bytes(b"NOT-A-CHECKPOINT-AT-ALL" + b"\x00" * 32)
     with pytest.raises(FormatError):
-        load_checkpoint(path)
+        load_dqn_checkpoint(path)
 
 
 def test_checkpoint_wrong_kind_schema_error(tmp_path):
@@ -81,8 +75,10 @@ def test_checkpoint_wrong_kind_schema_error(tmp_path):
     weights = init_weights(VitalConfig(), seed=1)
     save_vital_checkpoint(path, weights)
     with pytest.raises(SchemaError):
-        load_checkpoint(path, expect_kind="dqn")
-    with pytest.raises(SchemaError):
+        load_dqn_checkpoint(path)
+    data = _dqn_checkpoint_bytes(tmp_path)
+    path.write_bytes(_with_header(data, {**_header_of(data), "model_kind": "mystery"}))
+    with pytest.raises(SchemaError, match="mystery"):
         load_dqn_checkpoint(path)
 
 
@@ -443,14 +439,6 @@ def test_vital_tensor_names_default_config():
 def test_qnetwork_tensor_names_follow_the_layers():
     net = init_qnetwork(0)
     _assert_same_entries(qnetwork_tensors(net), _reference_qnetwork_tensors(net))
-
-
-def test_checkpoint_tensors_are_read_only_views(tmp_path):
-    path = tmp_path / "x.ckpt"
-    save_checkpoint(path, "dqn", {}, {"a": np.arange(6, dtype=np.float32).reshape(2, 3)})
-    arr = load_checkpoint(path).tensors["a"]
-    assert arr.shape == (2, 3) and arr.dtype == np.float32
-    assert not arr.flags.writeable
 
 
 def test_checkpoint_rejects_unknown_kind(tmp_path):

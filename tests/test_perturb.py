@@ -93,12 +93,6 @@ def test_brightness_clamps_to_unit_range():
     assert out.visual.max() == 1.0
 
 
-def test_brightness_all_channels_flag():
-    img = image_from_seed(7)
-    out = brightness(img, -1.0, all_channels=True)
-    assert not out.planes.any()
-
-
 def test_brightness_delta_out_of_range():
     with pytest.raises(ContractViolation):
         brightness(image_from_seed(8), 1.5)
