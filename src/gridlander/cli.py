@@ -181,14 +181,14 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
                 raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
     if args.out and not labelled:
         raise ContractViolation("--out needs ground truth: a --batch directory with labels.csv")
-    missing = next((p for p, _ in paths_and_truths if not p.exists()), None)
+    missing = next((p for p, _ in paths_and_truths if not p.is_file()), None)
     if missing is not None:
         raise ContractViolation(f"image not found: {missing}")
-    weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
     perts = _parse_perturbations(args.perturb, args.seed)
+    weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
     samples = []
     for img_path, truth in paths_and_truths:
-        img = persistence.read_ppm(img_path, cfg.channel_order)
+        img = persistence.read_ppm(img_path, cfg.ppm_channel_order)
         img, truth = perturb.apply_all(perts, img, truth)
         det = vital_detect(img, weights)
         b = det.bbox
@@ -272,15 +272,15 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
     perturbed = []  # every input is read and perturbed before anything is written
     for image in args.image:
         src = Path(image)
-        if not src.exists():
+        if not src.is_file():
             raise ContractViolation(f"image not found: {image}")
-        img, _ = perturb.apply_all(perts, persistence.read_ppm(src, cfg.channel_order))
+        img, _ = perturb.apply_all(perts, persistence.read_ppm(src, cfg.ppm_channel_order))
         perturbed.append((src, img))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
     for src, img in perturbed:
         dst = out_dir / src.name
-        persistence.write_ppm(dst, img, cfg.channel_order)
+        persistence.write_ppm(dst, img, cfg.ppm_channel_order)
         manifest.append(
             {
                 "input": str(src),

@@ -1,11 +1,11 @@
 """Configuration file handling.
 
-Settings live in a JSON document with optional sections ``env``, ``train``,
-``detector`` and ``ppm_channel_order``. Resolution order for
-every effective value: command-line flag > config file > built-in default.
-The environment variable GRIDLANDER_CONFIG supplies the file path when no
---config flag is given. Unknown sections or keys are rejected before any
-command runs.
+Settings live in a JSON document whose optional sections, the keys of
+``_SECTIONS``, set the ``AppConfig`` fields of their names. Resolution
+order for every effective value: command-line flag > config file >
+built-in default. The environment variable GRIDLANDER_CONFIG supplies the
+file path when no --config flag is given. Unknown sections or keys are
+rejected before any command runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,15 +24,13 @@ from .vital import MODALITIES, VitalConfig
 
 ENV_VAR = "GRIDLANDER_CONFIG"
 
-_SECTIONS = ("env", "train", "detector", "ppm_channel_order")
-
 
 @dataclass
 class AppConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     detector: VitalConfig = field(default_factory=VitalConfig)
-    channel_order: tuple[str, ...] = MODALITIES
+    ppm_channel_order: tuple[str, ...] = MODALITIES
 
 
 def _fits(value, hint) -> bool:
@@ -78,20 +76,19 @@ def check_channel_order(order: Sequence[str]) -> tuple[str, ...]:
     return tuple(order)
 
 
+# each section, in build order, with the dataclass it builds or the function that checks it
+_SECTIONS = {"env": EnvConfig, "train": TrainConfig, "detector": VitalConfig,
+             "ppm_channel_order": check_channel_order}
+
+
 def parse_config_dict(raw: dict) -> AppConfig:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ContractViolation(f"unknown config sections: {sorted(unknown)}")
-    cfg = AppConfig()
-    if "env" in raw:
-        cfg.env = build_section(EnvConfig, raw["env"], "env")
-    if "train" in raw:
-        cfg.train = build_section(TrainConfig, raw["train"], "train")
-    if "detector" in raw:
-        cfg.detector = build_section(VitalConfig, raw["detector"], "detector")
-    if "ppm_channel_order" in raw:
-        cfg.channel_order = check_channel_order(raw["ppm_channel_order"])
-    return cfg
+    return AppConfig(**{
+        name: build_section(kind, raw[name], name) if is_dataclass(kind) else kind(raw[name])
+        for name, kind in _SECTIONS.items() if name in raw
+    })
 
 
 def load_config(path: Optional[str]) -> AppConfig:

@@ -72,6 +72,9 @@ class Terminal(Enum):
     MAX_STEPS = "max_steps"
 
 
+TERMINALS = tuple(Terminal)  # MdpTable.kind holds indices into this
+
+
 class LanderState(NamedTuple):
     dx: float
     dy: float
@@ -121,6 +124,12 @@ class EnvConfig:
             raise ContractViolation("altitude range must start at ground level 0")
         if any(k < 0 for k in self.k_weights):
             raise ContractViolation("shaping weights must be non-negative")
+        # the shaping sum and the outside-landing penalty peak at the farthest cell
+        x, y, z = (float(max(map(abs, r))) for r in (self.x_range, self.y_range, self.z_range))
+        kx, ky, kz = map(float, self.k_weights)
+        peaks = (kx * x * x + ky * y * y + kz * z * z, 200.0 * math.hypot(x, y))
+        if not all(map(math.isfinite, peaks)):
+            raise ContractViolation(f"the reward overflows at {(x, y, z)} for k_weights {self.k_weights}")
         if self.landing_zone_radius < 0:
             raise ContractViolation("landing zone radius must be non-negative")
         if self.max_steps < 1:
@@ -219,16 +228,10 @@ def transition(
         if rng is None:
             raise ContractViolation("wind enabled but no rng supplied")
         if rng.uniform() < config.wind_probability:
-            gust = int(rng.integers(4))  # +x, -x, +y, -y
-            disp = config.wind_displacement * r
-            if gust == 0:
-                x += disp
-            elif gust == 1:
-                x -= disp
-            elif gust == 2:
-                y += disp
-            else:
-                y -= disp
+            # a gust blows the way one of the four horizontal actions moves
+            gx, gy, _ = _ACTION_DELTAS[Action(int(rng.integers(4)))]
+            x += gx * config.wind_displacement * r
+            y += gy * config.wind_displacement * r
     out_of_bounds = not (
         config.x_range[0] <= x <= config.x_range[1]
         and config.y_range[0] <= y <= config.y_range[1]
@@ -301,6 +304,9 @@ class MdpTable:
     ``states`` lists every grid cell in (z, x, y) scan order, so the
     non-terminal (dz > 0) cells follow the ground layer contiguously. They
     are the rows of the (n, 5) transition arrays, in the same order.
+    ``kind`` records how each move ends, as ``transition`` classifies it:
+    an index into ``TERMINALS``, never MAX_STEPS, which the step budget of
+    a rollout decides.
     """
 
     config: EnvConfig
@@ -310,7 +316,7 @@ class MdpTable:
     next_index: np.ndarray  # (n, 5) index into states of the successor
     next_row: np.ndarray  # (n, 5) row of the successor; -1 when it ends the episode
     rewards: np.ndarray  # (n, 5)
-    landed: np.ndarray  # (n, 5) bool: the successor is a LANDED_SUCCESS
+    kind: np.ndarray  # (n, 5) int8 index into TERMINALS; 0 (NONE) where next_row >= 0
 
     @property
     def n_states(self) -> int:
@@ -336,7 +342,7 @@ class MdpTable:
 
 
 def enumerate_mdp(config: EnvConfig) -> MdpTable:
-    """Tabulate (state, action) -> (next, reward, terminal); wind must be off.
+    """Tabulate (state, action) -> (next, reward, terminal kind); wind must be off.
 
     Computes every successor with the arithmetic of ``transition`` and
     ``reward``, one action at a time over all non-terminal cells. Every
@@ -360,6 +366,7 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
     kx, ky, kz = config.k_weights
     r = config.resolution
     (x_lo, x_hi), (y_lo, y_hi) = config.x_range, config.y_range
+    running, success, outside, crashed = range(4)  # the first four TERMINALS, in order
 
     def approach(x, y, z):
         return -100.0 * np.sqrt(kx * x * x + ky * y * y + kz * z * z)
@@ -396,13 +403,13 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
                 approach(x, y, z) - approach(sx, sy, sz),
             ),
         )
-        terminal = touchdown
+        kind = np.where(touchdown, np.where(n_inside, success, outside), running)
         if config.boundary_mode == "crash":
             rew = np.where(out_of_bounds, -200.0 * n_dist, rew)
-            terminal = touchdown | out_of_bounds
-            touchdown = touchdown & ~out_of_bounds
-        columns.append((cell, np.where(terminal, -1, cell - plane), rew, touchdown & n_inside))
-    next_index, next_row, rewards, landed = (np.stack(c, axis=1) for c in zip(*columns))
+            kind = np.where(out_of_bounds, crashed, kind)
+        next_row = np.where(kind == running, cell - plane, -1)
+        columns.append((cell, next_row, rew, kind.astype(np.int8)))
+    next_index, next_row, rewards, kind = (np.stack(c, axis=1) for c in zip(*columns))
     return MdpTable(
         config=config,
         shape=shape,
@@ -411,7 +418,7 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
         next_index=next_index,
         next_row=next_row,
         rewards=rewards,
-        landed=landed,
+        kind=kind,
     )
 
 

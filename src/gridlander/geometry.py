@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .env import EnvConfig, LanderState
 from .errors import ContractViolation
@@ -19,7 +18,6 @@ from .losses import BBox
 class CameraFrame:
     width: int = 160
     height: int = 160
-    center: Optional[tuple[float, float]] = None
     meters_per_pixel_per_meter: float = 0.005  # pinhole small-angle scale
 
     def __post_init__(self) -> None:
@@ -30,11 +28,11 @@ class CameraFrame:
 
     @property
     def cx(self) -> float:
-        return self.center[0] if self.center is not None else self.width / 2.0
+        return self.width / 2.0
 
     @property
     def cy(self) -> float:
-        return self.center[1] if self.center is not None else self.height / 2.0
+        return self.height / 2.0
 
 
 def bbox_to_offsets(bbox: BBox, frame: CameraFrame) -> tuple[float, float]:

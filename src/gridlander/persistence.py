@@ -39,7 +39,6 @@ VERSION = 1
 MODEL_KINDS = ("vital", "dqn")
 _MODEL_NAMES = {"vital": "detector", "dqn": "q-network"}  # in schema errors
 _CRC_CHUNK = 1 << 20  # bytes per read of the checksum pass
-DEFAULT_CHANNEL_ORDER = MODALITIES
 
 
 class FormatError(ValueError):
@@ -272,7 +271,7 @@ def load_dqn_checkpoint(path) -> tuple[QNetwork, dict]:
 
 
 def write_ppm(
-    path, img: MultimodalImage, channel_order: Sequence[str] = DEFAULT_CHANNEL_ORDER
+    path, img: MultimodalImage, channel_order: Sequence[str] = MODALITIES
 ) -> None:
     """P6 8-bit PPM; file channels R,G,B hold the named modalities in order.
 
@@ -289,7 +288,7 @@ def write_ppm(
 
 
 def read_ppm(
-    path, channel_order: Sequence[str] = DEFAULT_CHANNEL_ORDER
+    path, channel_order: Sequence[str] = MODALITIES
 ) -> MultimodalImage:
     """Read a P6 8-bit 160x160 PPM and scale to [0,1] by /255."""
     order = check_channel_order(channel_order)
@@ -383,6 +382,8 @@ def read_sample_records(path) -> list[SampleRecord]:
         parts = line.split(",")
         if len(parts) != 6:
             raise FormatError(f"{path}:{lineno}: expected 6 comma-separated fields")
+        if not parts[0]:
+            raise FormatError(f"{path}:{lineno}: empty image field")
         try:
             corners = [float(v) for v in parts[1:5]]
             objectness = int(parts[5])

@@ -4,7 +4,8 @@ the detector, plus the training-time flip / noise augmentations.
 Every transform preserves the (3, 160, 160) shape and the [0, 1] value
 range, and is a pure function of (input, parameters, seed). The fog model
 (smoothed per-pixel white blend) is a synthetic stand-in; real fog physics
-is out of scope.
+is out of scope. One table, ``_DIRECTIVES``, defines each directive kind;
+parsing, ``Perturbation.params`` and ``apply_perturbation`` all read it.
 """
 
 from __future__ import annotations
@@ -122,19 +123,31 @@ class Perturbation:
     prob: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in _DIRECTIVES:
+            raise ContractViolation(f"unknown perturbation kind {self.kind!r}")
+
     def params(self) -> dict:
-        if self.kind == "disable":
-            return {"kind": self.kind, "modalities": list(self.modalities)}
-        if self.kind == "brightness":
-            return {"kind": self.kind, "delta": self.delta}
-        if self.kind == "fog":
-            return {"kind": self.kind, "low": self.low, "high": self.high, "seed": self.seed}
-        if self.kind == "salt_pepper":
-            return {"kind": self.kind, "prob": self.prob, "seed": self.seed}
-        return {"kind": self.kind}
+        fields, seeded, _ = _DIRECTIVES[self.kind]
+        params = {"kind": self.kind}
+        for f in fields + (("seed",) if seeded else ()):
+            value = getattr(self, f)
+            params[f] = list(value) if isinstance(value, tuple) else value
+        return params
 
 
-_KINDS = ("disable", "brightness", "fog", "salt_pepper", "flip_h", "flip_v")
+# kind -> (argument fields in directive order, whether the transform draws from
+# the seed, transform of (perturbation, image, box)); only flips remap the box
+_DIRECTIVES = {
+    "disable": (("modalities",), False,
+                lambda p, img, box: (disable_modalities(img, p.modalities), box)),
+    "brightness": (("delta",), False, lambda p, img, box: (brightness(img, p.delta), box)),
+    "fog": (("low", "high"), True, lambda p, img, box: (fog(img, p.low, p.high, p.seed), box)),
+    "salt_pepper": (("prob",), True, lambda p, img, box: (salt_pepper(img, p.prob, p.seed), box)),
+    "flip_h": ((), False, lambda p, img, box: flip_h(img, box)),
+    "flip_v": ((), False, lambda p, img, box: flip_v(img, box)),
+}
+_KINDS = tuple(_DIRECTIVES)
 
 
 def _number(name: str, text: str) -> float:
@@ -145,47 +158,33 @@ def _number(name: str, text: str) -> float:
 
 
 def parse_perturbation(spec: str, seed: int = 0) -> Perturbation:
-    """Parse a CLI directive like ``disable=lidar,thermal`` or ``fog=0.1,0.5``."""
+    """Parse a CLI directive like ``disable=lidar,thermal`` or ``fog=0.1,0.5``:
+    no argument, modalities, or one number per argument field of the kind."""
     name, _, arg = spec.partition("=")
     name = name.strip()
     if name not in _KINDS:
         raise ContractViolation(f"unknown perturbation {name!r}; expected one of {_KINDS}")
-    if name == "disable":
+    fields = _DIRECTIVES[name][0]
+    if not fields:
+        if arg:
+            raise ContractViolation(f"{name} takes no argument")
+        return Perturbation(name, seed=seed)
+    if fields == ("modalities",):
         mods = tuple(m.strip() for m in arg.split(",") if m.strip())
         if not mods:
-            raise ContractViolation("disable= needs at least one modality")
-        return Perturbation("disable", modalities=mods, seed=seed)
-    if name == "brightness":
-        return Perturbation("brightness", delta=_number(name, arg), seed=seed)
-    if name == "fog":
-        parts = [_number(name, v) for v in arg.split(",")]
-        if len(parts) != 2:
-            raise ContractViolation("fog= expects low,high")
-        return Perturbation("fog", low=parts[0], high=parts[1], seed=seed)
-    if name == "salt_pepper":
-        return Perturbation("salt_pepper", prob=_number(name, arg), seed=seed)
-    if arg:
-        raise ContractViolation(f"{name} takes no argument")
-    return Perturbation(name, seed=seed)
+            raise ContractViolation(f"{name}= needs at least one modality")
+        return Perturbation(name, modalities=mods, seed=seed)
+    values = [_number(name, text) for text in ([arg] if len(fields) == 1 else arg.split(","))]
+    if len(values) != len(fields):
+        raise ContractViolation(f"{name}= expects {','.join(fields)}")
+    return Perturbation(name, seed=seed, **dict(zip(fields, values)))
 
 
 def apply_perturbation(
     pert: Perturbation, img: MultimodalImage, bbox: Optional[BBox] = None
 ) -> tuple[MultimodalImage, Optional[BBox]]:
     """Apply one directive; flips remap the label box, others leave it."""
-    if pert.kind == "disable":
-        return disable_modalities(img, pert.modalities), bbox
-    if pert.kind == "brightness":
-        return brightness(img, pert.delta), bbox
-    if pert.kind == "fog":
-        return fog(img, pert.low, pert.high, pert.seed), bbox
-    if pert.kind == "salt_pepper":
-        return salt_pepper(img, pert.prob, pert.seed), bbox
-    if pert.kind == "flip_h":
-        return flip_h(img, bbox)
-    if pert.kind == "flip_v":
-        return flip_v(img, bbox)
-    raise ContractViolation(f"unknown perturbation kind {pert.kind!r}")
+    return _DIRECTIVES[pert.kind][2](pert, img, bbox)
 
 
 def apply_all(

@@ -11,8 +11,9 @@ the row-by-row Gauss-Seidel sweep (see ``q_learning``).
 Every solver reads the table's successor rows directly. One lockstep
 rollout on the table steps many starts at once: every eligible start for
 the all-starts success rate, and seeded random starts for
-``evaluate_on_table``, which ``eval --oracle`` runs. It keeps the terminal
-rules of ``LandingEnv.step``, which the live rollouts it is tested against
+``evaluate_on_table``, which ``eval --oracle`` runs. Each move ends as the
+table's ``kind`` records; the rollout adds only the step budget of
+``LandingEnv.step``, which the live rollouts it is tested against
 (``policy_rollout`` and ``dqn.evaluate_policy``) step.
 """
 
@@ -24,7 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dqn import EpisodeLog, EpisodeStep, EvalResult, rollout, summarize_episodes
-from .env import START_ALTITUDE, Action, LanderState, LandingEnv, MdpTable, Terminal, reset_state
+from .env import (
+    START_ALTITUDE, TERMINALS, Action, LanderState, LandingEnv, MdpTable, Terminal, reset_state,
+)
 from .env import transition  # unused here; perfbench/tracer.py wraps tabular.transition by name
 from .errors import ContractViolation
 from .rng import Rng
@@ -224,14 +227,14 @@ def success_rate_from_all_starts(
     """Fraction of eligible start cells the policy lands successfully from.
 
     Every start takes at most ``max_steps`` steps on the table, as in
-    ``policy_rollout``; only a LANDED_SUCCESS successor counts. A grid with
-    no cell at ``min_altitude`` or above has no rate.
+    ``policy_rollout``; only a move of kind LANDED_SUCCESS counts. A grid
+    with no cell at ``min_altitude`` or above has no rate.
     """
     rows = np.flatnonzero(mdp.states[mdp.nonterminal_indices, 2] >= min_altitude - 1e-9)
     if len(rows) == 0:
         raise ContractViolation("no eligible start altitudes")
-    landed = (int(mdp.landed[s.rows, s.actions].sum()) for s in _lockstep(mdp, policy, rows))
-    return sum(landed) / len(rows)
+    landed = mdp.kind == TERMINALS.index(Terminal.LANDED_SUCCESS)
+    return sum(int(landed[s.rows, s.actions].sum()) for s in _lockstep(mdp, policy, rows)) / len(rows)
 
 
 def evaluate_on_table(mdp: MdpTable, policy: np.ndarray, episodes: int, seed: int) -> EvalResult:
@@ -239,34 +242,28 @@ def evaluate_on_table(mdp: MdpTable, policy: np.ndarray, episodes: int, seed: in
 
     The starts are the ones ``LandingEnv.reset`` draws from the same seed:
     the table is windless, so ``transition`` would draw nothing between
-    them. Each step's terminal kind follows from its successor: a landing
-    is LANDED_SUCCESS, any other move to the ground layer LANDED_OUTSIDE
-    (only DESCEND reaches it) and any other terminal move OUT_OF_BOUNDS
-    (only horizontal moves leave the grid); a move that ends nothing at
-    step ``max_steps`` is MAX_STEPS, as in ``LandingEnv.step``.
+    them. Each step's terminal kind is the table's ``kind`` of its move,
+    except that a move that ends nothing at step ``max_steps`` is
+    MAX_STEPS, as in ``LandingEnv.step``.
     """
     if episodes < 1:
         raise ContractViolation("evaluation needs at least one episode")
     rng = Rng(seed).derive(1)
     starts = [reset_state(mdp.config, rng) for _ in range(episodes)]
     rows = np.array([mdp.row_of(s) for s in starts], dtype=np.int64)
-    ground = mdp.shape[1] * mdp.shape[2]  # cells below this index lie at dz = 0
+    out_of_steps = TERMINALS.index(Terminal.MAX_STEPS)
     steps: list[list[EpisodeStep]] = [[] for _ in starts]
     totals = [0.0] * episodes
     for i, step in enumerate(_lockstep(mdp, policy, rows)):
-        cells = mdp.next_index[step.rows, step.actions]
-        ended = np.where(
-            mdp.landed[step.rows, step.actions], _SUCCESS,
-            np.where(cells < ground, _OUTSIDE, _OUT_OF_BOUNDS),
-        )
-        running = _MAX_STEPS if i + 1 == mdp.config.max_steps else _NONE
-        kinds = np.where(step.next_rows >= 0, running, ended)
+        kinds = mdp.kind[step.rows, step.actions]
+        if i + 1 == mdp.config.max_steps:
+            kinds = np.where(step.next_rows >= 0, out_of_steps, kinds)
         for e, state, a, r, k in zip(
-            step.episodes.tolist(), mdp.states[cells].tolist(), step.actions.tolist(),
-            mdp.rewards[step.rows, step.actions].tolist(), kinds.tolist(),
+            step.episodes.tolist(), mdp.states[mdp.next_index[step.rows, step.actions]].tolist(),
+            step.actions.tolist(), mdp.rewards[step.rows, step.actions].tolist(), kinds.tolist(),
         ):
             log = steps[e]
-            log.append(EpisodeStep(len(log), LanderState(*state), _ACTIONS[a], r, _KINDS[k]))
+            log.append(EpisodeStep(len(log), LanderState(*state), _ACTIONS[a], r, TERMINALS[k]))
             totals[e] += r
     return summarize_episodes([
         EpisodeLog(start, log, total, log[-1].terminal)
@@ -275,9 +272,6 @@ def evaluate_on_table(mdp: MdpTable, policy: np.ndarray, episodes: int, seed: in
 
 
 _ACTIONS = tuple(Action)
-_KINDS = (Terminal.NONE, Terminal.LANDED_SUCCESS, Terminal.LANDED_OUTSIDE, Terminal.OUT_OF_BOUNDS,
-          Terminal.MAX_STEPS)
-_NONE, _SUCCESS, _OUTSIDE, _OUT_OF_BOUNDS, _MAX_STEPS = range(5)
 
 
 class _Step(NamedTuple):

@@ -64,9 +64,6 @@ class VitalConfig:
         return self.patch_side * self.patch_side + 1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if min(self.embed_dim, self.ffn_hidden, self.heads) <= 0 or self.encoder_layers < 0:
             raise ContractViolation(
                 "embed_dim, ffn_hidden and heads must be positive, encoder_layers non-negative"
@@ -81,6 +78,10 @@ class VitalConfig:
             )
         if len(self.stem_channels) != 3 or any(c <= 0 for c in self.stem_channels):
             raise ContractViolation("stem_channels must be three positive widths")
+        # past this numpy rejects a weight shape (a ValueError, not a MemoryError)
+        # or the encoder layer loop does not end
+        if max(self.embed_dim, self.ffn_hidden, self.encoder_layers, *self.stem_channels) >= 2**16:
+            raise ContractViolation("detector widths and encoder_layers must lie below 2**16")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractViolation("dropout must lie in [0,1)")
 
@@ -101,18 +102,6 @@ class MultimodalImage:
             raise ContractViolation("image planes must be finite")
         if self.planes.min() < 0.0 or self.planes.max() > 1.0:
             raise ContractViolation("image values must lie in [0,1]")
-
-    @property
-    def visual(self) -> np.ndarray:
-        return self.planes[0]
-
-    @property
-    def thermal(self) -> np.ndarray:
-        return self.planes[1]
-
-    @property
-    def lidar(self) -> np.ndarray:
-        return self.planes[2]
 
     def copy(self) -> "MultimodalImage":
         return MultimodalImage(self.planes.copy())

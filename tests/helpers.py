@@ -1,5 +1,5 @@
 """Shared oracles for the test suite: finite differences, error metrics,
-box translation and grid-table lookup."""
+box translation and scaling, and grid-table lookup."""
 
 import numpy as np
 
@@ -37,6 +37,11 @@ def rel_err(a, b, floor=1e-6):
 def translated(box: BBox, tx: float, ty: float) -> BBox:
     """``box`` moved by (tx, ty)."""
     return BBox(box.x_min + tx, box.y_min + ty, box.x_max + tx, box.y_max + ty)
+
+
+def scaled(box: BBox, s: float) -> BBox:
+    """``box`` with every corner multiplied by ``s``."""
+    return BBox(box.x_min * s, box.y_min * s, box.x_max * s, box.y_max * s)
 
 
 def table_state(mdp, idx: int) -> LanderState:

@@ -247,9 +247,9 @@ def test_criterion_6_perturbation_suite():
 
     disabled = perturb.disable_modalities(img, {"thermal"})
     disable_ok = (
-        not disabled.thermal.any()
-        and np.array_equal(disabled.visual, img.visual)
-        and np.array_equal(disabled.lidar, img.lidar)
+        not disabled.planes[1].any()
+        and np.array_equal(disabled.planes[0], img.planes[0])
+        and np.array_equal(disabled.planes[2], img.planes[2])
     )
 
     range_ok = True

@@ -115,6 +115,9 @@ def test_train_invalid_episodes(tmp_path, capsys):
         ({"env": {"y_range": [-6, 0]}}, "y_range"),
         ({"env": {"x_range": [-1e18, 1e18]}}, "x_range"),
         ({"env": {"z_range": [0, 1]}}, "no eligible start altitudes"),
+        # finite weights whose shaping overflows at the farthest cell
+        ({"env": {"x_range": [-2, 2], "y_range": [-2, 2], "z_range": [0, 3],
+                  "k_weights": [1e308, 1, 1]}}, "reward overflows"),
     ],
 )
 def test_train_rejects_unusable_settings_before_writing(tmp_path, capsys, raw, named):
@@ -552,6 +555,33 @@ def test_detect_batch_missing_frame_exit_2_before_any_work(tmp_path, capsys):
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("name,named", [("", "labels.csv:3: empty image field"), ("sub", "batch/sub")])
+def test_detect_batch_row_naming_no_file_exit_2_before_any_work(tmp_path, capsys, name, named):
+    """A labels.csv row whose image field is empty, or names a directory,
+    stops detect before it loads weights or prints a detection."""
+    batch = tmp_path / "batch"
+    (batch / "sub").mkdir(parents=True)
+    write_ppm(batch / "img_000.ppm", make_image(52))
+    write_sample_records(batch / "labels.csv", [
+        SampleRecord("img_000.ppm", 0.25, 0.25, 0.75, 0.75, 1),
+        SampleRecord(name, 0.1, 0.1, 0.5, 0.5, 1),
+    ])
+    ckpt = tmp_path / "vital.ckpt"
+    save_vital_checkpoint(ckpt, init_weights(SMALL_VITAL, 0))
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--checkpoint", str(ckpt))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert named in err
+
+
+def test_detect_parses_perturbations_before_loading_weights(tmp_path, capsys):
+    image = tmp_path / "img.ppm"
+    write_ppm(image, make_image(53))
+    code, stdout, err = run(capsys, "detect", "--image", str(image),
+                            "--checkpoint", str(tmp_path / "missing.ckpt"), "--perturb", "blur=3")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "unknown perturbation 'blur'" in err
+
+
 def test_bench_rejects_image_size_other_than_frame(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"detector": {"image_size": 80, "patch_side": 10}}))
@@ -629,8 +659,8 @@ def test_perturb_writes_outputs_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest[0]["perturbations"] == [{"kind": "disable", "modalities": ["lidar"]}]
     perturbed = read_ppm(out / "img.ppm")
-    assert not perturbed.lidar.any()
-    assert perturbed.visual.any()
+    assert not perturbed.planes[2].any()
+    assert perturbed.planes[0].any()
 
 
 def test_perturb_byte_identical_under_seed(tmp_path, capsys):
@@ -818,6 +848,7 @@ def test_config_type_errors_exit_2(tmp_path, capsys, raw):
         {"ppm_channel_order": 5},
         {"ppm_channel_order": [1, "thermal", "lidar"]},
         {"ppm_channel_order": ["visual", "visual", "lidar"]},
+        {"detector": {"embed_dim": 10**400}},
     ],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, raw):
@@ -837,7 +868,12 @@ def test_config_not_utf8_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "env", [{"resolution": float("nan")}, {"x_range": [-1e308, 1e308]}]
+    "env",
+    [
+        {"resolution": float("nan")},
+        {"x_range": [-1e308, 1e308]},
+        {"x_range": [-2, 2], "y_range": [-2, 2], "z_range": [0, 3], "k_weights": [1e308, 1, 1]},
+    ],
 )
 @pytest.mark.parametrize("command", [["oracle"], ["eval", "--oracle"]])
 def test_non_finite_env_values_exit_2(tmp_path, capsys, env, command):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlander.env import (
+    TERMINALS,
     Action,
     EnvConfig,
     LanderState,
@@ -338,11 +339,21 @@ def test_wind_deterministic_and_displaces_horizontally():
         {"max_steps": 10**400},  # an int no float can hold
         {"x_range": (-1e308, 1e308)},  # hi - lo overflows
         {"resolution": 5e-324},  # the cell count overflows
+        # the shaping sum, then the outside-landing penalty, overflows at the farthest cell
+        {"x_range": (-2.0, 2.0), "y_range": (-2.0, 2.0), "z_range": (0.0, 3.0),
+         "k_weights": (1e308, 1.0, 1.0)},
+        {"x_range": (-1e306, 1e306), "resolution": 1e300, "k_weights": (0.0, 0.0, 0.0)},
     ],
 )
 def test_config_rejects_non_finite_values(overrides):
     with pytest.raises(ContractViolation):
         EnvConfig(**overrides)
+
+
+def test_config_accepts_weights_whose_reward_stays_finite():
+    cfg = EnvConfig(x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), z_range=(0.0, 3.0),
+                    k_weights=(1e200, 1.0, 1.0))
+    assert np.isfinite(enumerate_mdp(cfg).rewards).all()
 
 
 # --- enumerated MDP ---------------------------------------------------------------
@@ -426,7 +437,7 @@ def test_enumerate_mdp_matches_per_cell_transition(
             out = transition(state, a, cfg)
             assert mdp.next_index[row, a] == index_of[tuple(out.next)]
             assert mdp.rewards[row, a].tobytes() == np.float64(out.reward).tobytes()
-            assert mdp.landed[row, a] == (out.terminal is Terminal.LANDED_SUCCESS)
+            assert TERMINALS[mdp.kind[row, a]] is out.terminal
             if out.terminal is Terminal.NONE:
                 assert mdp.next_row[row, a] == mdp.row_of(out.next)
             else:

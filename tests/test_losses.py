@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gridlander.errors import ContractViolation
 from gridlander.losses import BBox, ciou_loss, diou_loss, focal_loss, giou_loss, iou
 
-from helpers import fd_grad, rel_err, translated
+from helpers import fd_grad, rel_err, scaled, translated
 
 
 def test_bbox_validation():
@@ -174,7 +174,7 @@ def test_translation_invariance(seed, tx, ty):
 def test_scale_invariance(seed, s):
     rng = np.random.default_rng(seed)
     a, b = _random_box(rng), _random_box(rng)
-    as_, bs = a.scaled(s), b.scaled(s)
+    as_, bs = scaled(a, s), scaled(b, s)
     assert abs(iou(a, b) - iou(as_, bs)) < 1e-6
     for fn in (giou_loss, diou_loss, ciou_loss):
         assert abs(fn(a, b)[0] - fn(as_, bs)[0]) < 1e-6

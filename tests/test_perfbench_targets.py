@@ -1,21 +1,31 @@
-"""The benchmark's tracer wraps package functions by name; a refactor that
-drops or renames one of them must fail here rather than in a traced run."""
+"""The benchmark's tracer wraps package functions by name, and its inputs
+pass perturbations as directive strings; a refactor that drops or renames
+one of those functions, or parses a directive differently, must fail here
+rather than in a benchmark run."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
+from gridlander import perturb
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+INPUTS = TRACER.parent / "inputs.py"
+
+
+def _exec_source(path: Path) -> types.ModuleType:
+    # exec the source instead of importing it, so nothing (not even a
+    # bytecode cache) is written next to the benchmark's files
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def _load_tracer() -> types.ModuleType:
-    # exec the source instead of importing it, so nothing (not even a
-    # bytecode cache) is written next to the benchmark's files
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
-    return module
+    return _exec_source(TRACER)
 
 
 def test_every_traced_name_resolves_on_its_owner():
@@ -59,3 +69,15 @@ def test_every_gridlander_name_the_benchmark_and_scripts_use_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, missing
+
+
+def test_every_benchmark_perturbation_round_trips_through_its_directive(monkeypatch):
+    """The ``--perturb`` value the benchmark passes for each perturbation of
+    its pool parses back to the perturbation it applies in process."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the script is imported, not exec'd
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on the path
+    inputs = _exec_source(INPUTS)
+    pool = inputs.perturbation_pool(inputs.robustness_script())
+    assert pool
+    for p in pool:
+        assert perturb.parse_perturbation(inputs.directive(p), seed=p.seed) == p

@@ -487,8 +487,8 @@ def test_ppm_channel_order_swap(tmp_path):
     assert np.abs(back.planes - img.planes).max() <= 0.5 / 255.0 + 1e-9
     # reading with the default order swaps visual and lidar
     swapped = read_ppm(path)
-    assert np.abs(swapped.visual - back.lidar).max() == 0.0
-    assert np.abs(swapped.lidar - back.visual).max() == 0.0
+    assert np.abs(swapped.planes[0] - back.planes[2]).max() == 0.0
+    assert np.abs(swapped.planes[2] - back.planes[0]).max() == 0.0
 
 
 def test_ppm_rejects_bad_files(tmp_path):

@@ -46,10 +46,10 @@ def test_disable_everything_zeroes_image():
 def test_disable_lidar_only():
     img = image_from_seed(2)
     out = disable_modalities(img, {"lidar"})
-    assert checksum(out.lidar) == 0.0
-    assert checksum(out.visual) == checksum(img.visual)
-    assert checksum(out.thermal) == checksum(img.thermal)
-    assert np.array_equal(out.visual, img.visual)
+    assert checksum(out.planes[2]) == 0.0
+    assert checksum(out.planes[0]) == checksum(img.planes[0])
+    assert checksum(out.planes[1]) == checksum(img.planes[1])
+    assert np.array_equal(out.planes[0], img.planes[0])
 
 
 def test_disable_is_idempotent():
@@ -75,22 +75,22 @@ def test_brightness_zero_is_identity():
 def test_brightness_minus_one_blacks_visual():
     img = image_from_seed(6)
     out = brightness(img, -1.0)
-    assert not out.visual.any()
-    assert np.array_equal(out.thermal, img.thermal)
-    assert np.array_equal(out.lidar, img.lidar)
+    assert not out.planes[0].any()
+    assert np.array_equal(out.planes[1], img.planes[1])
+    assert np.array_equal(out.planes[2], img.planes[2])
 
 
 def test_brightness_midgray_scaling():
     planes = np.full((3, 160, 160), 0.4, dtype=np.float32)
     out = brightness(MultimodalImage(planes), 0.5)
-    assert np.allclose(out.visual, 0.6, atol=1e-6)
-    assert np.allclose(out.thermal, 0.4, atol=0)
+    assert np.allclose(out.planes[0], 0.6, atol=1e-6)
+    assert np.allclose(out.planes[1], 0.4, atol=0)
 
 
 def test_brightness_clamps_to_unit_range():
     planes = np.full((3, 160, 160), 0.9, dtype=np.float32)
     out = brightness(MultimodalImage(planes), 0.9)
-    assert out.visual.max() == 1.0
+    assert out.planes[0].max() == 1.0
 
 
 def test_brightness_delta_out_of_range():
@@ -270,5 +270,5 @@ def test_apply_all_chains_and_remaps_bbox():
     box = BBox(0.1, 0.2, 0.3, 0.4)
     perts = [parse_perturbation("disable=lidar"), parse_perturbation("flip_h")]
     out, mapped = apply_all(perts, img, box)
-    assert not out.lidar.any()
+    assert not out.planes[2].any()
     assert mapped.corners == pytest.approx((0.7, 0.2, 0.9, 0.4))

@@ -59,11 +59,10 @@ def zero_encoder_projections(w):
 def test_config_geometry():
     assert CFG.token_dim == 384
     assert CFG.token_count == 401
-    CFG.validate()
     with pytest.raises(ContractViolation):
-        VitalConfig(patch_side=10).validate()
+        VitalConfig(patch_side=10)
     with pytest.raises(ContractViolation):
-        VitalConfig(heads=7).validate()
+        VitalConfig(heads=7)
 
 
 def test_multimodal_image_contract():
