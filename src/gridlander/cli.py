@@ -93,12 +93,22 @@ def _load_weights_or_random(checkpoint, cfg: AppConfig, seed: int):
     return init_weights(cfg.detector, seed)
 
 
+def _out_dir(path: str) -> Path:
+    """``--out`` as a directory to make or fill, checked before any work: the
+    path, or else the nearest of its parents that exists, is a directory."""
+    p = Path(path)
+    nearest = next((a for a in (p, *p.parents) if a.exists()), p)
+    if not nearest.is_dir():
+        raise ContractViolation(f"--out {path}: {nearest} is not a directory")
+    return p
+
+
 def _cmd_train(args, cfg: AppConfig) -> int:
     train_cfg = cfg.train
     if args.episodes is not None:
         train_cfg = replace(train_cfg, episodes=args.episodes)
     dqn.check_q_network_env(cfg.env)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = dqn.train(cfg.env, train_cfg, args.seed)
@@ -120,6 +130,7 @@ def _cmd_train(args, cfg: AppConfig) -> int:
 
 
 def _cmd_eval(args, cfg: AppConfig) -> int:
+    out_dir = _out_dir(args.out) if args.out else None
     env_cfg = cfg.env
     if not args.oracle:
         if not args.checkpoint:
@@ -141,8 +152,7 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
     print(f"success rate: {result.success_rate:.3f}")
     print(f"mean return: {result.mean_return:.1f}")
     print(f"mean touchdown deviation (m): {result.mean_final_deviation_m:.2f}")
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, log in enumerate(result.traces):
             persistence.write_episode_trace(out_dir / f"episode_{i:03d}.csv", log)
@@ -181,6 +191,8 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
                 raise ContractViolation(f"no labels.csv and no .ppm files in {batch_dir}")
     if args.out and not labelled:
         raise ContractViolation("--out needs ground truth: a --batch directory with labels.csv")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ContractViolation(f"--out {args.out} must name a file in an existing directory")
     missing = next((p for p, _ in paths_and_truths if not p.is_file()), None)
     if missing is not None:
         raise ContractViolation(f"image not found: {missing}")
@@ -267,7 +279,7 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
     clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if clash is not None:
         raise ContractViolation(f"two --image inputs share the file name {clash!r}")
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     perts = _parse_perturbations(args.perturb, args.seed)
     perturbed = []  # every input is read and perturbed before anything is written
     for image in args.image:

@@ -99,8 +99,8 @@ def load_config(path: Optional[str]) -> AppConfig:
     if path is None:
         return AppConfig()
     p = Path(path)
-    if not p.exists():
-        raise ContractViolation(f"config file not found: {path}")
+    if not p.is_file():
+        raise ContractViolation(f"config file not found or not a regular file: {path}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:

@@ -310,6 +310,11 @@ def multihead_attention(
     taken over those scored so far, and start again from the first when a new
     head's scores change it.
 
+    While the heads run it holds, beside its input, Q, K and V (tokens, dim),
+    the score buffer and the context (out_rows, dim), all float64. Q, K, V
+    and the score buffer are dropped before the output projection and the
+    context after it, so the projection runs beside the context alone.
+
     With ``out_rows`` only the first ``out_rows`` rows of the output are
     computed; every row's scores are still computed, since they take part in
     the decision. With ``return_weights`` the float64 attention maps
@@ -355,7 +360,9 @@ def multihead_attention(
                 continue
         np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
         h += 1
+    del q, k, v, buf, scores
     out = ctx @ params.wo.T.astype(np.float64, copy=False)
+    del ctx
     out += params.bo
     out = out.astype(_out_dtype(tokens, params.wo), copy=False)
     if return_weights:

@@ -146,6 +146,8 @@ def _read_checkpoint(path, kind: str, build):
     tensor name, that the file's tensors must match in name and shape. Each
     tensor is read straight into its array, so no buffer the size of the
     file ever exists."""
+    if not os.path.isfile(path):
+        raise ContractViolation(f"checkpoint not found or not a regular file: {path}")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         lead = fh.read(len(MAGIC) + 8)
@@ -369,8 +371,11 @@ LABELS_HEADER = "image,x_min,y_min,x_max,y_max,objectness"
 
 
 def read_sample_records(path) -> list[SampleRecord]:
+    path = Path(path)
+    if not path.is_file():
+        raise ContractViolation(f"{path} is not a regular file")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8: {exc}") from None
     if not lines or lines[0].strip() != LABELS_HEADER:

@@ -189,8 +189,8 @@ class VitalWeights:
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-# Every temporary a frame frees is under 2 MB and a frame's working set is
-# about 20 MB, but a ``detect --batch`` call also loads, then frees, a 25 MB
+# Every temporary a frame frees is under 2 MB and a frame's traced peak is
+# about 9.5 MiB, but a ``detect --batch`` call also loads, then frees, a 25 MB
 # weight tree. Setting either parameter turns off glibc's dynamic adjustment
 # of both, so both are set: blocks up to 32 MiB (glibc's cap for the mmap
 # threshold on 64-bit) come from the heap, and up to 64 MiB of freed heap
@@ -375,6 +375,13 @@ def encoder_forward(
     returned for probing. With ``class_only`` the last layer computes the
     class-token row alone, after checking that the stream entering it is
     finite, and that row is the result; the two do not combine.
+
+    Beside the float64 residual stream it holds only the running block's
+    intermediates, each dropped after its last reader: the attention's
+    normalized input until attention returns, its output until it is added,
+    then the FFN's normalized input until the GELU returns and the GELU's
+    output until ``ffn_out`` returns. Nothing of layer i-1 is alive while
+    layer i runs.
     """
     cfg = weights.config
     tokens = np.asarray(tokens, dtype=np.float32)
@@ -397,11 +404,15 @@ def encoder_forward(
             maps.append(att_w)
         else:
             att_out = multihead_attention(normed, layer.attention, cfg.heads, out_rows=rows)
+        del normed
         x = x[: len(att_out)]
         x += att_out
+        del att_out
         normed = layernorm(x, layer.ln_ffn.gamma, layer.ln_ffn.beta)
         h = gelu(dense_forward(layer.ffn_in, normed))
+        del normed
         x += dense_forward(layer.ffn_out, h)
+        del h
     out = (x[0] if class_only else x).astype(np.float32)
     if collect_attention:
         return out, maps

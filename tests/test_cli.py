@@ -937,6 +937,83 @@ def test_unknown_subcommand_usage(capsys):
     assert main(["frobnicate"]) == 2
 
 
+# --- paths of the wrong kind ---------------------------------------------------------
+
+
+def test_config_directory_exit_2(tmp_path, capsys):
+    code, stdout, err = run(capsys, "--config", str(tmp_path), "oracle")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err.startswith("error: config file not found or not a regular file:")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", [["detect", "--image", "IMG"], ["bench", "--iters", "1"],
+                                     ["eval"]], ids=["detect", "bench", "eval"])
+def test_checkpoint_missing_or_not_a_file_exit_2(tmp_path, capsys, kind, command):
+    image, ckpt = tmp_path / "img.ppm", tmp_path / "vital.ckpt"
+    write_ppm(image, make_image(80))
+    if kind == "directory":
+        ckpt.mkdir()
+    argv = [str(image) if a == "IMG" else a for a in command]
+    code, stdout, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: checkpoint not found or not a regular file: {ckpt}\n"
+
+
+def test_detect_batch_labels_directory_exit_2(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    (batch / "labels.csv").mkdir(parents=True)
+    write_ppm(batch / "img_0.ppm", make_image(81))
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: {batch / 'labels.csv'} is not a regular file\n"
+
+
+def test_detect_batch_out_directory_exit_2_before_any_work(tmp_path, capsys):
+    batch, out = tmp_path / "batch", tmp_path / "metrics"
+    batch.mkdir()
+    out.mkdir()
+    write_ppm(batch / "img_0.ppm", make_image(82))
+    write_sample_records(batch / "labels.csv", [SampleRecord("img_0.ppm", 0.25, 0.25, 0.75, 0.75, 1)])
+    ckpt = tmp_path / "vital.ckpt"
+    save_vital_checkpoint(ckpt, init_weights(SMALL_VITAL, 0))
+    code, stdout, err = run(capsys, "detect", "--batch", str(batch), "--checkpoint", str(ckpt),
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert "must name a file in an existing directory" in err
+
+
+def test_eval_oracle_out_file_exit_2_before_any_work(tmp_path, capsys, small_config):
+    out = tmp_path / "traces"
+    out.write_text("")
+    code, stdout, err = run(capsys, "--config", small_config, "eval", "--oracle",
+                            "--episodes", "3", "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {out} is not a directory\n"
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_train_out_file_exit_2_before_any_work(tmp_path, capsys, small_config, below):
+    blocker = tmp_path / "run"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    code, stdout, err = run(capsys, "--config", small_config, "train", "--out", str(out),
+                            "--episodes", "1")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {blocker} is not a directory\n"
+
+
+def test_perturb_out_file_exit_2_before_any_work(tmp_path, capsys):
+    image, out = tmp_path / "img.ppm", tmp_path / "perturbed"
+    write_ppm(image, make_image(83))
+    out.write_text("")
+    code, stdout, err = run(capsys, "perturb", "--image", str(image), "--perturb", "flip_h",
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {out} is not a directory\n"
+    assert out.read_text() == ""
+
+
 # --- every subcommand under drawn inputs -----------------------------------------
 
 _ODD_VALUES = [-3, -1, 0, 0.5, 1, 2, 10**400, float("nan"), float("inf"), "1", None, True, [1, 2, 3]]
