@@ -93,13 +93,17 @@ def _load_weights_or_random(checkpoint, cfg: AppConfig, seed: int):
     return init_weights(cfg.detector, seed)
 
 
-def _out_dir(path: str) -> Path:
-    """``--out`` as a directory to make or fill, checked before any work: the
-    path, or else the nearest of its parents that exists, is a directory."""
+def _out_dir(path: str, names) -> Path:
+    """``--out`` as a directory to make or fill with the files ``names``,
+    checked before any work: the path, or else the nearest of its parents
+    that exists, is a directory, and none of the files is one."""
     p = Path(path)
     nearest = next((a for a in (p, *p.parents) if a.exists()), p)
     if not nearest.is_dir():
         raise ContractViolation(f"--out {path}: {nearest} is not a directory")
+    taken = next((p / n for n in names if (p / n).is_dir()), None) if p.is_dir() else None
+    if taken is not None:
+        raise ContractViolation(f"--out {path}: {taken} is a directory")
     return p
 
 
@@ -108,17 +112,18 @@ def _cmd_train(args, cfg: AppConfig) -> int:
     if args.episodes is not None:
         train_cfg = replace(train_cfg, episodes=args.episodes)
     dqn.check_q_network_env(cfg.env)
-    out_dir = _out_dir(args.out)
+    names = ckpt, trace, curve = ("dqn.ckpt", "reward_trace.csv", "reward_curve.svg")
+    out_dir = _out_dir(args.out, names)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = dqn.train(cfg.env, train_cfg, args.seed)
     persistence.save_dqn_checkpoint(
-        out_dir / "dqn.ckpt",
+        out_dir / ckpt,
         result.network,
         {"env": asdict(cfg.env), "train": asdict(train_cfg), "seed": args.seed},
     )
-    persistence.write_reward_trace(out_dir / "reward_trace.csv", result.trace)
-    plots.write_reward_curve(out_dir / "reward_curve.svg", result.trace)
+    persistence.write_reward_trace(out_dir / trace, result.trace)
+    plots.write_reward_curve(out_dir / curve, result.trace)
     tail = result.trace.moving_average()[-1] if result.trace.returns else float("nan")
     print(
         f"trained {result.episodes_run} episodes"
@@ -130,13 +135,15 @@ def _cmd_train(args, cfg: AppConfig) -> int:
 
 
 def _cmd_eval(args, cfg: AppConfig) -> int:
-    out_dir = _out_dir(args.out) if args.out else None
+    if args.oracle == bool(args.checkpoint):
+        raise ContractViolation("eval needs exactly one of --checkpoint or --oracle")
+    episode_files = [f"episode_{i:03d}.csv" for i in range(args.episodes)]
+    projections = ("trajectories_xy.svg", "trajectories_xz.svg")
+    out_dir = _out_dir(args.out, episode_files + list(projections)) if args.out else None
     env_cfg = cfg.env
     if not args.oracle:
-        if not args.checkpoint:
-            raise ContractViolation("eval needs --checkpoint or --oracle")
         net, meta = persistence.load_dqn_checkpoint(args.checkpoint)
-        if isinstance(meta, dict) and "env" in meta:
+        if "env" in meta:
             env_cfg = build_section(EnvConfig, meta["env"], "checkpoint env")
     if args.wind is not None:
         env_cfg = replace(env_cfg, wind_probability=args.wind)
@@ -154,10 +161,10 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
     print(f"mean touchdown deviation (m): {result.mean_final_deviation_m:.2f}")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, log in enumerate(result.traces):
-            persistence.write_episode_trace(out_dir / f"episode_{i:03d}.csv", log)
+        for name, log in zip(episode_files, result.traces):
+            persistence.write_episode_trace(out_dir / name, log)
         plots.write_trajectory_projections(
-            out_dir / "trajectories_xy.svg", out_dir / "trajectories_xz.svg",
+            *(out_dir / name for name in projections),
             result.traces[: len(plots._TRACE_COLORS)], env_cfg,
         )
         print(f"traces in {out_dir}")
@@ -279,7 +286,15 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
     clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if clash is not None:
         raise ContractViolation(f"two --image inputs share the file name {clash!r}")
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, names + ["manifest.json"])
+    outputs = [out_dir / n for n in names]
+    manifest_path = out_dir / "manifest.json"
+    if manifest_path in outputs:
+        raise ContractViolation(f"--out {args.out}: {manifest_path} is the manifest")
+    inputs = {Path(image).resolve() for image in args.image}
+    overwritten = next((p for p in outputs + [manifest_path] if p.resolve() in inputs), None)
+    if overwritten is not None:
+        raise ContractViolation(f"--out {args.out}: {overwritten} is an input")
     perts = _parse_perturbations(args.perturb, args.seed)
     perturbed = []  # every input is read and perturbed before anything is written
     for image in args.image:
@@ -290,8 +305,7 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
         perturbed.append((src, img))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for src, img in perturbed:
-        dst = out_dir / src.name
+    for dst, (src, img) in zip(outputs, perturbed):
         persistence.write_ppm(dst, img, cfg.ppm_channel_order)
         manifest.append(
             {
@@ -300,7 +314,6 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
                 "perturbations": [p.params() for p in perts],
             }
         )
-    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(manifest)} images and {manifest_path}")
     return EXIT_OK

@@ -3,12 +3,15 @@
 The world is a grid of (dx, dy, dz) offsets from the landing pad, one cell
 per resolution step. Five actions move one cell: forward/backward along x,
 left/right along y, and descend along z. Touching dz = 0 ends the episode:
-inside the landing zone it is a success worth +400, outside it costs
--200 times the horizontal distance to the pad.
+inside the landing zone it is a success worth ``LANDING_REWARD`` (+400),
+outside it costs ``OUTSIDE_PENALTY`` (200) times the horizontal distance
+to the pad, as does a crash out of bounds.
 
 Every other step is rewarded with the difference of a distance-based
-shaping value. The shaping switches scale at the landing-zone boundary:
-outside the zone it spans all three axes, inside it tracks altitude only.
+shaping value, -``SHAPING_SCALE`` (100) times the square root of the
+weighted squared offsets. The shaping switches scale at the landing-zone
+boundary: outside the zone it spans all three axes, inside it tracks
+altitude only.
 When the vehicle leaves the zone, the carried previous-shaping value is
 rebased to the full-scale shaping of the state it came from. With that
 bookkeeping the per-step reward reduces to a pure function of (previous
@@ -27,7 +30,9 @@ grid, ``eval --oracle --seed 7 --episodes 30`` reports success 0.000.
 
 ``reward`` implements the reduced form; the test suite carries an
 independent step-by-step transcription of the bookkeeping and checks the
-two never disagree.
+two never disagree. ``enumerate_mdp`` tabulates the same rules over all
+cells at once with the same ``shaping`` and payoff constants, and every
+lookup of a cell's row goes through ``_cell_index``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ from .rng import Rng
 
 
 START_ALTITUDE = 2.0  # the lowest altitude an episode starts from
+LANDING_REWARD = 400.0  # touchdown inside the landing zone
+OUTSIDE_PENALTY = 200.0  # per metre of horizontal distance, landing outside or crashing
+SHAPING_SCALE = 100.0  # shaping is -SHAPING_SCALE * sqrt(weighted squared offsets)
 
 
 class Action(int, Enum):
@@ -124,10 +132,10 @@ class EnvConfig:
             raise ContractViolation("altitude range must start at ground level 0")
         if any(k < 0 for k in self.k_weights):
             raise ContractViolation("shaping weights must be non-negative")
-        # the shaping sum and the outside-landing penalty peak at the farthest cell
+        # the shaping and the outside-landing penalty peak at the farthest cell
         x, y, z = (float(max(map(abs, r))) for r in (self.x_range, self.y_range, self.z_range))
-        kx, ky, kz = map(float, self.k_weights)
-        peaks = (kx * x * x + ky * y * y + kz * z * z, 200.0 * math.hypot(x, y))
+        peaks = (shaping(LanderState(x, y, z), self.k_weights, False),
+                 OUTSIDE_PENALTY * math.hypot(x, y))
         if not all(map(math.isfinite, peaks)):
             raise ContractViolation(f"the reward overflows at {(x, y, z)} for k_weights {self.k_weights}")
         if self.landing_zone_radius < 0:
@@ -162,37 +170,28 @@ def inside_zone(state: LanderState, config: EnvConfig) -> bool:
     return state.horizontal_distance() <= config.landing_zone_radius
 
 
-def shaping(state: LanderState, k: tuple[float, float, float], inside: bool) -> float:
-    """-100 * sqrt(weighted squared offsets); altitude-only inside the zone."""
+def shaping(state: LanderState, k: tuple[float, float, float], inside):
+    """-SHAPING_SCALE * sqrt(weighted squared offsets); altitude-only inside
+    the zone. ``state`` holds floats or arrays of cells, with ``inside`` a
+    bool or a mask of them; either way the result is a numpy float."""
     kx, ky, kz = k
-    if inside:
-        return -100.0 * math.sqrt(kz * state.dz * state.dz)
-    return -100.0 * math.sqrt(
-        kx * state.dx * state.dx + ky * state.dy * state.dy + kz * state.dz * state.dz
-    )
-
-
-def approach_shaping(state: LanderState, config: EnvConfig) -> float:
-    return shaping(state, config.k_weights, inside=False)
-
-
-def altitude_shaping(state: LanderState, config: EnvConfig) -> float:
-    return shaping(state, config.k_weights, inside=True)
+    altitude = kz * state.dz * state.dz
+    approach = kx * state.dx * state.dx + ky * state.dy * state.dy + altitude
+    return -SHAPING_SCALE * np.sqrt(np.where(inside, altitude, approach))
 
 
 def reward(prev: LanderState, nxt: LanderState, config: EnvConfig) -> float:
     """Per-step reward for the move prev -> nxt (see module docstring).
 
-    Touchdown overrides the shaping difference: +400 inside the landing
-    zone, -200 * horizontal distance outside it.
+    Touchdown overrides the shaping difference: LANDING_REWARD inside the
+    landing zone, -OUTSIDE_PENALTY * horizontal distance outside it.
     """
     if nxt.dz <= 0.0:
         if inside_zone(nxt, config):
-            return 400.0
-        return -200.0 * nxt.horizontal_distance()
-    if inside_zone(prev, config) and inside_zone(nxt, config):
-        return altitude_shaping(nxt, config) - altitude_shaping(prev, config)
-    return approach_shaping(nxt, config) - approach_shaping(prev, config)
+            return LANDING_REWARD
+        return -OUTSIDE_PENALTY * nxt.horizontal_distance()
+    inside = inside_zone(prev, config) and inside_zone(nxt, config)
+    return float(shaping(nxt, config.k_weights, inside) - shaping(prev, config.k_weights, inside))
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,8 @@ def transition(
     nxt = LanderState(x, y, z)
 
     if out_of_bounds and config.boundary_mode == "crash":
-        return StepOutcome(nxt, -200.0 * nxt.horizontal_distance(), Terminal.OUT_OF_BOUNDS)
+        crash = -OUTSIDE_PENALTY * nxt.horizontal_distance()
+        return StepOutcome(nxt, crash, Terminal.OUT_OF_BOUNDS)
     rew = reward(state, nxt, config)
     if nxt.dz <= 0.0:
         kind = Terminal.LANDED_SUCCESS if inside_zone(nxt, config) else Terminal.LANDED_OUTSIDE
@@ -302,17 +302,16 @@ class MdpTable:
     """Exhaustive deterministic model of the windless grid MDP.
 
     ``states`` lists every grid cell in (z, x, y) scan order, so the
-    non-terminal (dz > 0) cells follow the ground layer contiguously. They
-    are the rows of the (n, 5) transition arrays, in the same order.
-    ``kind`` records how each move ends, as ``transition`` classifies it:
-    an index into ``TERMINALS``, never MAX_STEPS, which the step budget of
-    a rollout decides.
+    non-terminal (dz > 0) cells follow the ground layer contiguously:
+    ``states[plane + row]`` is the cell of row ``row`` of the (n, 5)
+    transition arrays. ``kind`` records how each move ends, as
+    ``transition`` classifies it: an index into ``TERMINALS``, never
+    MAX_STEPS, which the step budget of a rollout decides.
     """
 
     config: EnvConfig
-    shape: tuple[int, int, int]  # cells along (z, x, y)
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]  # the x, y and z values
     states: np.ndarray  # (total, 3) every grid state incl. dz = 0
-    nonterminal_indices: np.ndarray  # (n,) indices into states
     next_index: np.ndarray  # (n, 5) index into states of the successor
     next_row: np.ndarray  # (n, 5) row of the successor; -1 when it ends the episode
     rewards: np.ndarray  # (n, 5)
@@ -324,21 +323,26 @@ class MdpTable:
 
     @property
     def n_nonterminal(self) -> int:
-        return len(self.nonterminal_indices)
+        return len(self.next_row)
+
+    @property
+    def plane(self) -> int:
+        """Cells per altitude layer, the ground layer's among them."""
+        return len(self.axes[0]) * len(self.axes[1])
+
+    def rows_of(self, states) -> np.ndarray:
+        """Rows in the transition arrays of non-terminal grid states, given
+        as a sequence of (dx, dy, dz)."""
+        points = np.asarray(states, dtype=np.float64).reshape(-1, 3)
+        rows = _cell_index(*points.T, *self.axes, self.config.resolution) - self.plane
+        if (rows < 0).any():
+            bad = LanderState(*points[np.argmax(rows < 0)].tolist())
+            raise ContractViolation(f"{bad} is not a non-terminal grid cell")
+        return rows
 
     def row_of(self, state: LanderState) -> int:
-        """Row in the transition arrays for a non-terminal grid state."""
-        nz, nx, ny = self.shape
-        c = self.config
-        iz, ix, iy = (
-            round((v - lo) / c.resolution)
-            for v, lo in ((state.dz, 0.0), (state.dx, c.x_range[0]), (state.dy, c.y_range[0]))
-        )
-        idx = (iz * nx + ix) * ny + iy
-        in_range = 1 <= iz < nz and 0 <= ix < nx and 0 <= iy < ny
-        if not in_range or tuple(self.states[idx]) != tuple(state):
-            raise ContractViolation(f"{state} is not a non-terminal grid cell")
-        return idx - nx * ny
+        """Row in the transition arrays of one non-terminal grid state."""
+        return int(self.rows_of([state])[0])
 
 
 def enumerate_mdp(config: EnvConfig) -> MdpTable:
@@ -351,40 +355,30 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
     """
     if config.wind_probability > 0.0:
         raise ContractViolation("the tabular oracle needs wind disabled")
-    xs, ys, zs = (config.axis_values(a) for a in ("x", "y", "z"))
-    shape = (len(zs), len(xs), len(ys))
+    axes = xs, ys, zs = tuple(config.axis_values(a) for a in ("x", "y", "z"))
     plane = len(xs) * len(ys)
     grid_z, grid_x, grid_y = np.meshgrid(zs, xs, ys, indexing="ij")
     states = np.stack([grid_x.ravel(), grid_y.ravel(), grid_z.ravel()], axis=1)
-    nonterminal = np.arange(plane, len(states))
-    if len(nonterminal) == 0:
+    if len(states) == plane:
         raise ContractViolation("the grid has no state above ground level")
     # math.hypot, as LanderState.horizontal_distance uses, per (x, y) column
     dist = np.array([math.hypot(x, y) for x in xs.tolist() for y in ys.tolist()])
-    sx, sy, sz = states[nonterminal].T
-    s_inside = dist[nonterminal % plane] <= config.landing_zone_radius
-    kx, ky, kz = config.k_weights
+    here = LanderState(*states[plane:].T)
+    s_inside = np.tile(dist, len(zs) - 1) <= config.landing_zone_radius
     r = config.resolution
     (x_lo, x_hi), (y_lo, y_hi) = config.x_range, config.y_range
     running, success, outside, crashed = range(4)  # the first four TERMINALS, in order
-
-    def approach(x, y, z):
-        return -100.0 * np.sqrt(kx * x * x + ky * y * y + kz * z * z)
-
-    def altitude(z):
-        return -100.0 * np.sqrt(kz * z * z)
-
     columns = []
     for a in Action:
         ddx, ddy, ddz = _ACTION_DELTAS[a]
-        x = sx + ddx * r
-        y = sy + ddy * r
-        z = sz + ddz * r
+        x = here.dx + ddx * r
+        y = here.dy + ddy * r
+        z = here.dz + ddz * r
         out_of_bounds = ~((x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi))
         x = np.minimum(np.maximum(x, x_lo), x_hi)
         y = np.minimum(np.maximum(y, y_lo), y_hi)
         z = np.minimum(np.maximum(z, 0.0), config.z_range[1])
-        cell = _cell_index(x, y, z, xs, ys, zs, r)
+        cell = _cell_index(x, y, z, *axes, r)
         if (cell < 0).any():
             bad = int(np.argmax(cell < 0))
             raise ContractViolation(
@@ -393,28 +387,25 @@ def enumerate_mdp(config: EnvConfig) -> MdpTable:
             )
         n_dist = dist[cell % plane]
         n_inside = n_dist <= config.landing_zone_radius
+        both = s_inside & n_inside
         touchdown = z <= 0.0
         rew = np.where(
             touchdown,
-            np.where(n_inside, 400.0, -200.0 * n_dist),
-            np.where(
-                s_inside & n_inside,
-                altitude(z) - altitude(sz),
-                approach(x, y, z) - approach(sx, sy, sz),
-            ),
+            np.where(n_inside, LANDING_REWARD, -OUTSIDE_PENALTY * n_dist),
+            shaping(LanderState(x, y, z), config.k_weights, both)
+            - shaping(here, config.k_weights, both),
         )
         kind = np.where(touchdown, np.where(n_inside, success, outside), running)
         if config.boundary_mode == "crash":
-            rew = np.where(out_of_bounds, -200.0 * n_dist, rew)
+            rew = np.where(out_of_bounds, -OUTSIDE_PENALTY * n_dist, rew)
             kind = np.where(out_of_bounds, crashed, kind)
         next_row = np.where(kind == running, cell - plane, -1)
         columns.append((cell, next_row, rew, kind.astype(np.int8)))
     next_index, next_row, rewards, kind = (np.stack(c, axis=1) for c in zip(*columns))
     return MdpTable(
         config=config,
-        shape=shape,
+        axes=axes,
         states=states,
-        nonterminal_indices=nonterminal,
         next_index=next_index,
         next_row=next_row,
         rewards=rewards,

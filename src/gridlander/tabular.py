@@ -137,7 +137,7 @@ def _waves(mdp: MdpTable) -> _Waves:
     height plus the largest |x| + |y| in cells.
     """
     n = mdp.n_nonterminal
-    x, y, z = mdp.states[mdp.nonterminal_indices].T
+    x, y, z = mdp.states[mdp.plane:].T
     pos = np.empty(n, dtype=np.int64)
     pos[np.lexsort((y, x, np.abs(x) + np.abs(y), z))] = np.arange(n)
     nxt = mdp.next_row
@@ -230,7 +230,7 @@ def success_rate_from_all_starts(
     ``policy_rollout``; only a move of kind LANDED_SUCCESS counts. A grid
     with no cell at ``min_altitude`` or above has no rate.
     """
-    rows = np.flatnonzero(mdp.states[mdp.nonterminal_indices, 2] >= min_altitude - 1e-9)
+    rows = np.flatnonzero(mdp.states[mdp.plane:, 2] >= min_altitude - 1e-9)
     if len(rows) == 0:
         raise ContractViolation("no eligible start altitudes")
     landed = mdp.kind == TERMINALS.index(Terminal.LANDED_SUCCESS)
@@ -250,7 +250,7 @@ def evaluate_on_table(mdp: MdpTable, policy: np.ndarray, episodes: int, seed: in
         raise ContractViolation("evaluation needs at least one episode")
     rng = Rng(seed).derive(1)
     starts = [reset_state(mdp.config, rng) for _ in range(episodes)]
-    rows = np.array([mdp.row_of(s) for s in starts], dtype=np.int64)
+    rows = mdp.rows_of(starts)
     out_of_steps = TERMINALS.index(Terminal.MAX_STEPS)
     steps: list[list[EpisodeStep]] = [[] for _ in starts]
     totals = [0.0] * episodes

@@ -103,9 +103,6 @@ class MultimodalImage:
         if self.planes.min() < 0.0 or self.planes.max() > 1.0:
             raise ContractViolation("image values must lie in [0,1]")
 
-    def copy(self) -> "MultimodalImage":
-        return MultimodalImage(self.planes.copy())
-
 
 @dataclass(frozen=True)
 class Detection:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gridlander import perturb
 from gridlander.cli import main
-from gridlander.dqn import TrainConfig, init_qnetwork
+from gridlander.dqn import QNET_LAYOUT, QNetwork, TrainConfig, init_qnetwork
 from gridlander.env import EnvConfig
+from gridlander.nncore import DenseLayer
 from gridlander.persistence import (
     LABELS_HEADER,
     SampleRecord,
@@ -249,6 +250,13 @@ def test_eval_needs_checkpoint_or_oracle(capsys):
     assert code == 2
 
 
+def test_eval_oracle_with_checkpoint_exit_2(tmp_path, capsys, small_config):
+    code, stdout, err = run(capsys, "--config", small_config, "eval", "--oracle",
+                            "--checkpoint", str(tmp_path / "missing.ckpt"), "--episodes", "2")
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == "error: eval needs exactly one of --checkpoint or --oracle\n"
+
+
 # SHA-256 digests recorded from the Q-network forward that chained
 # nncore.dense_forward per layer, before q_values ran through the TD step's
 # batch forward
@@ -288,6 +296,45 @@ def test_eval_checkpoint_outputs_match_recorded_digests(tmp_path, capsys, monkey
     digest = lambda blob: hashlib.sha256(blob).hexdigest()
     found = {p.name: digest(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
     assert {"stdout": digest(stdout.encode()), **found} == EVAL_GOLDEN
+
+
+def _homing_qnetwork(descend: float) -> QNetwork:
+    """A Q-network that moves toward the pad along its larger horizontal
+    offset, and descends once both normalized offsets are below ``descend``."""
+    layers = [DenseLayer(np.zeros((o, i), np.float32), np.zeros(o, np.float32)) for i, o in QNET_LAYOUT]
+    layers[0].weights[:4, :2] = [[1, 0], [-1, 0], [0, 1], [0, -1]]  # relu(+-dx), relu(+-dy)
+    for layer in layers[1:3]:
+        layer.weights[:4, :4] = np.eye(4)
+    layers[3].weights[:4, :4] = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    layers[3].bias[4] = descend
+    return QNetwork(layers)
+
+
+# SHA-256 over `eval --checkpoint --wind 0.3 --out` stdout and the digest of
+# every file written, recorded while the live reward wrote out its own shaping
+# sum and payoffs. Gusts push the homing policy across the landing-zone edge;
+# the first grid lands inside and outside it, the second lands, crashes and
+# runs out of steps.
+EVAL_WIND_GOLDEN = [
+    ({}, "ea3aeb2bfe76c8853ce145c2a5e415dd177d19fd2d6d3fe6a30711f611a42a84"),
+    ({"x_range": [-3, 3], "y_range": [-2, 2], "boundary_mode": "crash", "landing_zone_radius": 1.5,
+      "k_weights": [1, 2, 1], "max_steps": 12},
+     "18b02004671bc0f9ecbfabca573f0d9ba84a785d6d2330152a908525cab677bb"),
+]
+
+
+@pytest.mark.parametrize("env,expected", EVAL_WIND_GOLDEN)
+def test_eval_checkpoint_wind_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch, env,
+                                                             expected):
+    monkeypatch.chdir(tmp_path)  # a relative --out keeps the "traces in" line fixed
+    save_dqn_checkpoint("homing.ckpt", _homing_qnetwork(0.25), {"env": env})
+    code, stdout, _ = run(capsys, "--seed", "3", "eval", "--checkpoint", "homing.ckpt",
+                          "--episodes", "20", "--wind", "0.3", "--out", "out")
+    assert code == 0
+    digest = hashlib.sha256(stdout.encode())
+    for path in sorted((tmp_path / "out").iterdir()):
+        digest.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    assert digest.hexdigest() == expected
 
 
 def test_eval_checkpoint_extra_tensor_exit_2(tmp_path, capsys):
@@ -1012,6 +1059,52 @@ def test_perturb_out_file_exit_2_before_any_work(tmp_path, capsys):
     _assert_one_line_usage_error(code, stdout, err)
     assert err == f"error: --out {out}: {out} is not a directory\n"
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [
+        (["train", "--episodes", "2"], "dqn.ckpt"),
+        (["train", "--episodes", "2"], "reward_curve.svg"),
+        (["eval", "--oracle", "--episodes", "3"], "episode_002.csv"),
+        (["eval", "--oracle", "--episodes", "3"], "trajectories_xz.svg"),
+        (["perturb", "--image", "IMG", "--perturb", "flip_h"], "img.ppm"),
+        (["perturb", "--image", "IMG", "--perturb", "flip_h"], "manifest.json"),
+    ],
+)
+def test_output_file_that_is_a_directory_exit_2_before_any_work(tmp_path, capsys, small_config,
+                                                                command, target):
+    image, out = tmp_path / "img.ppm", tmp_path / "out"
+    write_ppm(image, make_image(84))
+    (out / target).mkdir(parents=True)
+    argv = [str(image) if a == "IMG" else a for a in command]
+    code, stdout, err = run(capsys, "--config", small_config, *argv, "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {out / target} is a directory\n"
+    assert [p.name for p in out.iterdir()] == [target]
+
+
+def test_perturb_out_holding_an_input_exit_2_before_writing(tmp_path, capsys):
+    image = tmp_path / "a.ppm"
+    write_ppm(image, make_image(85))
+    before = image.read_bytes()
+    code, stdout, err = run(capsys, "perturb", "--image", str(image), "--perturb", "flip_h",
+                            "--out", str(tmp_path))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {tmp_path}: {image} is an input\n"
+    assert image.read_bytes() == before
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_perturb_input_named_like_the_manifest_exit_2_before_writing(tmp_path, capsys):
+    image, out = tmp_path / "in" / "manifest.json", tmp_path / "out"
+    image.parent.mkdir()
+    write_ppm(image, make_image(86))
+    code, stdout, err = run(capsys, "perturb", "--image", str(image), "--perturb", "flip_h",
+                            "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {out / 'manifest.json'} is the manifest\n"
+    assert not out.exists()
 
 
 # --- every subcommand under drawn inputs -----------------------------------------

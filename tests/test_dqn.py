@@ -123,7 +123,7 @@ def dense_chain_mismatches(seeds, env_cfg=ENV):
     ``perturbed_network(seed)`` and every non-terminal cell of ``env_cfg``,
     give q_values that differ in any bit from the per-layer chain."""
     mdp = enumerate_mdp(env_cfg)
-    cells = [LanderState(*map(float, row)) for row in mdp.states[mdp.nonterminal_indices]]
+    cells = [LanderState(*map(float, row)) for row in mdp.states[mdp.plane:]]
     bad = 0
     for seed in seeds:
         net = perturbed_network(seed)
@@ -676,7 +676,7 @@ def value_iteration_row_major(mdp, gamma, tol=1e-9, max_sweeps=200000):
 
 def q_learning_per_cell(mdp, gamma, alpha=0.1, steps=100000):
     """The row-by-row Gauss-Seidel sweep that ``q_learning`` runs wave by wave."""
-    x, y, z = mdp.states[mdp.nonterminal_indices].T
+    x, y, z = mdp.states[mdp.plane:].T
     order = np.lexsort((y, x, np.abs(x) + np.abs(y), z)).tolist()
     q = [[0.0] * 5 for _ in order]
     done = 0
@@ -802,8 +802,8 @@ def test_policy_rollout_returns_what_its_own_loop_returned(boundary_mode):
     rng = Rng(3)
     random_policy = np.array([int(rng.integers(5)) for _ in range(mdp.n_nonterminal)])
     for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
-        for i in mdp.nonterminal_indices:
-            start = table_state(mdp, int(i))
+        for i in range(mdp.plane, mdp.n_states):
+            start = table_state(mdp, i)
             assert policy_rollout(mdp, policy, start) == policy_rollout_by_transition(mdp, policy, start)
 
 
@@ -819,7 +819,7 @@ def test_table_rollout_matches_live_rollouts(boundary_mode):
     seen = set()
     for policy in (value_iteration(mdp, gamma=0.9).policy, random_policy):
         for min_altitude in (1.0, 2.0):
-            starts = [table_state(mdp, int(i)) for i in mdp.nonterminal_indices]
+            starts = [table_state(mdp, i) for i in range(mdp.plane, mdp.n_states)]
             kinds = [
                 policy_rollout(mdp, policy, s)[2]
                 for s in starts

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlander.config import build_section
 from gridlander.env import (
     TERMINALS,
     Action,
@@ -13,8 +15,6 @@ from gridlander.env import (
     LanderState,
     LandingEnv,
     Terminal,
-    approach_shaping,
-    altitude_shaping,
     enumerate_mdp,
     inside_zone,
     reset_state,
@@ -102,6 +102,23 @@ def test_shaping_inside_altitude_only():
 
 def test_shaping_weights():
     assert shaping(LanderState(0, 0, 2), (1, 1, 4), inside=True) == pytest.approx(-400.0)
+
+
+_WEIGHT = st.sampled_from([0, 0.0, 1, 2]) | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.0, 50.0), st.booleans()),
+        min_size=1, max_size=20,
+    ),
+    k=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+)
+def test_shaping_over_arrays_matches_per_cell_calls(cells, k):
+    x, y, z, inside = (np.array(column) for column in zip(*cells))
+    per_cell = [shaping(LanderState(dx, dy, dz), k, i) for dx, dy, dz, i in cells]
+    assert shaping(LanderState(x, y, z), k, inside).tobytes() == np.array(per_cell).tobytes()
 
 
 # --- step basics ----------------------------------------------------------------
@@ -227,14 +244,14 @@ def test_shaping_telescoping_outside_zone():
     for action in [Action.BACKWARD, Action.DESCEND, Action.LEFT, Action.DESCEND, Action.BACKWARD]:
         states.append(transition(states[-1], action, cfg).next)
     total = sum(reward(a, b, cfg) for a, b in zip(states, states[1:]))
-    expected = approach_shaping(states[-1], cfg) - approach_shaping(states[0], cfg)
+    expected = shaping(states[-1], cfg.k_weights, False) - shaping(states[0], cfg.k_weights, False)
     assert total == pytest.approx(expected, abs=1e-6)
 
 
 def test_inside_zone_boundary_inclusive():
     assert inside_zone(LanderState(1, 0, 3), CFG)
     assert not inside_zone(LanderState(1, 1, 3), CFG)
-    assert altitude_shaping(LanderState(1, 0, 3), CFG) == pytest.approx(-300.0)
+    assert shaping(LanderState(1, 0, 3), CFG.k_weights, True) == pytest.approx(-300.0)
 
 
 # --- reset -------------------------------------------------------------------------
@@ -370,7 +387,7 @@ def test_enumerate_mdp_success_entries_are_400():
     mdp = enumerate_mdp(CFG)
     success = 0
     for row in range(mdp.n_nonterminal):
-        state = table_state(mdp, int(mdp.nonterminal_indices[row]))
+        state = table_state(mdp, mdp.plane + row)
         for a in range(5):
             nxt = table_state(mdp, int(mdp.next_index[row, a]))
             if nxt.dz == 0.0 and inside_zone(nxt, CFG):
@@ -386,11 +403,48 @@ def test_enumerate_mdp_spot_checks_live_step():
     for _ in range(200):
         row = int(rng.integers(mdp.n_nonterminal))
         a = int(rng.integers(5))
-        state = table_state(mdp, int(mdp.nonterminal_indices[row]))
+        state = table_state(mdp, mdp.plane + row)
         out = transition(state, Action(a), CFG)
         assert tuple(out.next) == tuple(table_state(mdp, int(mdp.next_index[row, a])))
         assert out.reward == mdp.rewards[row, a]
         assert (out.terminal is not Terminal.NONE) == bool(mdp.next_row[row, a] < 0)
+
+
+# SHA-256 of each table array's bytes, recorded while the live env and
+# enumerate_mdp each wrote out their own shaping, payoffs and cell lookup.
+# The second and third grids are those of test_cli's ORACLE_EVAL_GOLDEN.
+TABLE_GOLDEN = [
+    ({}, {
+        "states": "4e5bfdb935c9b630f0eee9e70b552475a49ca0eab91589bf12665751ebbadff3",
+        "next_index": "518e123cc795d3b71a1588147a88cff4959c97b1b3853e5698ae77a3453caafc",
+        "next_row": "f04ceb782e693ed35b8d1dbb6965c6b414ec8e3e456c86abbadb9fb1f01fccf1",
+        "rewards": "36f5badded8def662ee6b616c32284d5221c13e5765751e07ca81c7a6d3bb388",
+        "kind": "1c0616b7aec98dd60709768419e125acf1014b84ef9e976aeeec7c230257ac84",
+    }),
+    ({"x_range": [-6, 6], "y_range": [-6, 6], "z_range": [0, 8], "k_weights": [1, 1, 2],
+      "landing_zone_radius": 1.5, "boundary_mode": "clamp"}, {
+        "states": "4e5bfdb935c9b630f0eee9e70b552475a49ca0eab91589bf12665751ebbadff3",
+        "next_index": "518e123cc795d3b71a1588147a88cff4959c97b1b3853e5698ae77a3453caafc",
+        "next_row": "f04ceb782e693ed35b8d1dbb6965c6b414ec8e3e456c86abbadb9fb1f01fccf1",
+        "rewards": "0c935093144a22b76feaee3b9e5188eaace6cb121657eefafbb70de5d5029a24",
+        "kind": "5cc559404aa41bf012e6af061d55d7b54bce3e4e250fa6d85686007b2adaa974",
+    }),
+    ({"x_range": [-9, 9], "y_range": [-9, 9], "z_range": [0, 12], "k_weights": [2, 2, 1],
+      "boundary_mode": "crash", "max_steps": 14}, {
+        "states": "14a871de6f6381c8d635f08e47730c65cb65b1167d3f828d8287ccbcbc0b939e",
+        "next_index": "5872cc65e85674850c831939bf2de45803c6c61d0bec662a0a2e4e11949ddfdf",
+        "next_row": "b7a255d065bce26f97bbcfd5f1c2ecf41e719ff225083c2456a8c16e99ec0df1",
+        "rewards": "65f7ded2169a11e9d468b2d8e51f80bdea25fbe5000dae630655643a3e33de5d",
+        "kind": "5c4a219f5f85b92f48fceaab578fda9bb5921dceaaa60ed3282557c1aa1480ed",
+    }),
+]
+
+
+@pytest.mark.parametrize("env,expected", TABLE_GOLDEN)
+def test_enumerate_mdp_matches_recorded_digests(env, expected):
+    mdp = enumerate_mdp(build_section(EnvConfig, env, "env"))
+    found = {name: hashlib.sha256(getattr(mdp, name).tobytes()).hexdigest() for name in expected}
+    assert found == expected
 
 
 def test_enumerate_mdp_rejects_wind():
@@ -429,9 +483,9 @@ def test_enumerate_mdp_matches_per_cell_transition(
     ]
     assert [tuple(s) for s in mdp.states.tolist()] == scan
     index_of = {s: i for i, s in enumerate(scan)}
-    assert mdp.nonterminal_indices.tolist() == [i for i, s in enumerate(scan) if s[2] > 0.0]
-    for row, si in enumerate(mdp.nonterminal_indices):
-        state = table_state(mdp, int(si))
+    assert [s[2] > 0.0 for s in scan] == [False] * mdp.plane + [True] * mdp.n_nonterminal
+    for row in range(mdp.n_nonterminal):
+        state = table_state(mdp, mdp.plane + row)
         assert mdp.row_of(state) == row
         for a in Action:
             out = transition(state, a, cfg)
@@ -467,7 +521,7 @@ def test_row_of_rejects_terminal_and_off_grid_states():
 
 def test_q_learning_returns_on_an_empty_table():
     mdp = enumerate_mdp(CFG)
-    empty = replace(mdp, nonterminal_indices=mdp.nonterminal_indices[:0])
+    empty = replace(mdp, next_row=mdp.next_row[:0])
     assert q_learning(empty, gamma=0.9, steps=10).shape == (0, 5)
 
 
