@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dqn, metrics, perturb, persistence, plots, tabular
-from .config import AppConfig, build_section, load_config
+from .config import ENV_VAR, AppConfig, build_section, load_config
 from .env import EnvConfig, enumerate_mdp
 from .errors import ContractViolation, NumericFault
 from .metrics import EvalSample
@@ -93,10 +94,11 @@ def _load_weights_or_random(checkpoint, cfg: AppConfig, seed: int):
     return init_weights(cfg.detector, seed)
 
 
-def _out_dir(path: str, names) -> Path:
+def _out_dir(path: str, names, inputs) -> Path:
     """``--out`` as a directory to make or fill with the files ``names``,
     checked before any work: the path, or else the nearest of its parents
-    that exists, is a directory, and none of the files is one."""
+    that exists, is a directory, and none of the files is a directory or one
+    of the command's ``inputs``."""
     p = Path(path)
     nearest = next((a for a in (p, *p.parents) if a.exists()), p)
     if not nearest.is_dir():
@@ -104,7 +106,16 @@ def _out_dir(path: str, names) -> Path:
     taken = next((p / n for n in names if (p / n).is_dir()), None) if p.is_dir() else None
     if taken is not None:
         raise ContractViolation(f"--out {path}: {taken} is a directory")
+    _check_inputs_kept(path, [p / n for n in names], inputs)
     return p
+
+
+def _check_inputs_kept(out: str, outputs, inputs) -> None:
+    """Refuse an ``--out`` under which one of ``outputs`` is one of ``inputs``."""
+    kept = {Path(p).resolve() for p in inputs if p}
+    overwritten = next((p for p in outputs if Path(p).resolve() in kept), None)
+    if overwritten is not None:
+        raise ContractViolation(f"--out {out}: {overwritten} is an input")
 
 
 def _cmd_train(args, cfg: AppConfig) -> int:
@@ -113,7 +124,7 @@ def _cmd_train(args, cfg: AppConfig) -> int:
         train_cfg = replace(train_cfg, episodes=args.episodes)
     dqn.check_q_network_env(cfg.env)
     names = ckpt, trace, curve = ("dqn.ckpt", "reward_trace.csv", "reward_curve.svg")
-    out_dir = _out_dir(args.out, names)
+    out_dir = _out_dir(args.out, names, [args.config])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = dqn.train(cfg.env, train_cfg, args.seed)
@@ -139,7 +150,8 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
         raise ContractViolation("eval needs exactly one of --checkpoint or --oracle")
     episode_files = [f"episode_{i:03d}.csv" for i in range(args.episodes)]
     projections = ("trajectories_xy.svg", "trajectories_xz.svg")
-    out_dir = _out_dir(args.out, episode_files + list(projections)) if args.out else None
+    out_files = episode_files + list(projections)
+    out_dir = _out_dir(args.out, out_files, [args.checkpoint, args.config]) if args.out else None
     env_cfg = cfg.env
     if not args.oracle:
         net, meta = persistence.load_dqn_checkpoint(args.checkpoint)
@@ -164,8 +176,7 @@ def _cmd_eval(args, cfg: AppConfig) -> int:
         for name, log in zip(episode_files, result.traces):
             persistence.write_episode_trace(out_dir / name, log)
         plots.write_trajectory_projections(
-            *(out_dir / name for name in projections),
-            result.traces[: len(plots._TRACE_COLORS)], env_cfg,
+            *(out_dir / name for name in projections), result.traces, env_cfg
         )
         print(f"traces in {out_dir}")
     return EXIT_OK
@@ -200,6 +211,9 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
         raise ContractViolation("--out needs ground truth: a --batch directory with labels.csv")
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ContractViolation(f"--out {args.out} must name a file in an existing directory")
+    if args.out:
+        inputs = [labels_path, *(p for p, _ in paths_and_truths), args.checkpoint, args.config]
+        _check_inputs_kept(args.out, [args.out], inputs)
     missing = next((p for p, _ in paths_and_truths if not p.is_file()), None)
     if missing is not None:
         raise ContractViolation(f"image not found: {missing}")
@@ -286,15 +300,11 @@ def _cmd_perturb(args, cfg: AppConfig) -> int:
     clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if clash is not None:
         raise ContractViolation(f"two --image inputs share the file name {clash!r}")
-    out_dir = _out_dir(args.out, names + ["manifest.json"])
+    out_dir = _out_dir(args.out, names + ["manifest.json"], [*args.image, args.config])
     outputs = [out_dir / n for n in names]
     manifest_path = out_dir / "manifest.json"
     if manifest_path in outputs:
         raise ContractViolation(f"--out {args.out}: {manifest_path} is the manifest")
-    inputs = {Path(image).resolve() for image in args.image}
-    overwritten = next((p for p in outputs + [manifest_path] if p.resolve() in inputs), None)
-    if overwritten is not None:
-        raise ContractViolation(f"--out {args.out}: {overwritten} is an input")
     perts = _parse_perturbations(args.perturb, args.seed)
     perturbed = []  # every input is read and perturbed before anything is written
     for image in args.image:
@@ -336,6 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        args.config = os.environ.get(ENV_VAR) if args.config is None else args.config
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
     except (ContractViolation, persistence.FormatError) as exc:

@@ -11,7 +11,6 @@ rejected before any command runs.
 from __future__ import annotations
 
 import json
-import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -92,10 +91,7 @@ def parse_config_dict(raw: dict) -> AppConfig:
 
 
 def load_config(path: Optional[str]) -> AppConfig:
-    """Load the config file from ``path``, the GRIDLANDER_CONFIG variable,
-    or fall back to built-in defaults."""
-    if path is None:
-        path = os.environ.get(ENV_VAR)
+    """Load the config file at ``path``, or the built-in defaults when None."""
     if path is None:
         return AppConfig()
     p = Path(path)

@@ -60,19 +60,20 @@ def _dense_views(flat: np.ndarray) -> list[DenseLayer]:
 
 
 class QNetwork:
-    """The Q-network; ``layers`` are views into the float32 vector ``flat``."""
+    """The Q-network over one float32 vector ``flat`` of the layout's size
+    (zeros when none is given); ``layers`` are views into it."""
 
-    def __init__(self, layers: list[DenseLayer]) -> None:
-        found = tuple((l.in_dim, l.out_dim) for l in layers)
-        if found != QNET_LAYOUT:
-            raise ContractViolation(f"q-network layout {found} != required {QNET_LAYOUT}")
-        parts = [p.ravel() for l in layers for p in (l.weights, l.bias)]
-        self.flat = np.concatenate(parts).astype(np.float32, copy=False)
-        self.layers = _dense_views(self.flat)
+    def __init__(self, flat: Optional[np.ndarray] = None) -> None:
+        size = sum(o * i + o for i, o in QNET_LAYOUT)
+        flat = np.zeros(size, np.float32) if flat is None else flat
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float32 or flat.shape != (size,):
+            raise ContractViolation(f"q-network parameters must be a float32 vector of {size}")
+        self.flat = flat
+        self.layers = _dense_views(flat)
         self._flat64: Optional[np.ndarray] = None
 
     def clone(self) -> "QNetwork":
-        return QNetwork(self.layers)  # one concatenate: a single copy of flat
+        return QNetwork(self.flat.copy())
 
     def float64_layers(self) -> list[DenseLayer]:
         """The layers over a float64 copy of ``flat``, refreshed in place and
@@ -85,20 +86,13 @@ class QNetwork:
         return self._layers64
 
 
-def empty_qnetwork() -> QNetwork:
-    """A Q-network with uninitialized parameters, for a loader to fill in place."""
-    return QNetwork(_dense_views(np.empty(sum(o * i + o for i, o in QNET_LAYOUT), np.float32)))
-
-
 def init_qnetwork(seed: int) -> QNetwork:
     """He-initialized weights, zero biases; deterministic under seed."""
     rng = Rng(seed)
-    layers = []
-    for in_dim, out_dim in QNET_LAYOUT:
-        std = math.sqrt(2.0 / in_dim)
-        w = rng.normal(size=(out_dim, in_dim), std=std).astype(np.float32)
-        layers.append(DenseLayer(w, np.zeros(out_dim, dtype=np.float32)))
-    return QNetwork(layers)
+    net = QNetwork()
+    for layer in net.layers:
+        layer.weights[:] = rng.normal(size=layer.weights.shape, std=math.sqrt(2.0 / layer.in_dim))
+    return net
 
 
 @dataclass(frozen=True)

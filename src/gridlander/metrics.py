@@ -110,44 +110,43 @@ def f1_score(counts: Counts) -> float:
     return 2.0 * p * r / (p + r)
 
 
+_RECALL_LEVELS = np.arange(101) / 100 - 1e-12  # r - 1e-12 for r = 0.00, 0.01, ..., 1.00
+
+
+def _ranked_ious(samples: Sequence[EvalSample]) -> tuple[np.ndarray, int]:
+    """The IoU of each sample with its truth box (NaN, never a hit, without
+    one) in descending objectness, ties in input order; and the truth count."""
+    order = np.argsort([-s.objectness for s in samples], kind="stable")
+    ious = np.array([iou(s.bbox, s.truth) if s.truth_present else np.nan for s in samples])
+    return ious[order], sum(s.truth_present for s in samples)
+
+
+def _interpolated_ap(ranked_ious: np.ndarray, n_pos: int, iou_threshold: float) -> float:
+    if n_pos == 0:
+        return 0.0
+    tp = np.cumsum(ranked_ious >= iou_threshold)
+    # the best precision at each rank or below; at each level, that of the
+    # first rank whose recall reaches it (0 where none does)
+    best = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    p_best = np.append(best, 0.0)[np.searchsorted(tp / n_pos, _RECALL_LEVELS)]
+    return float(np.cumsum(p_best)[-1]) / 101.0  # summed in level order, unlike np.sum
+
+
 def average_precision(samples: Sequence[EvalSample], iou_threshold: float) -> float:
     """COCO-style 101-point interpolated AP at one IoU threshold.
 
     Predictions are ranked by descending objectness (stable, so ties keep
     input order); a prediction is a true positive when its image has a
-    truth box with IoU >= threshold.
+    truth box with IoU >= threshold. The precision at recall r is the best
+    one among the ranks whose recall is at least r.
     """
-    n_pos = sum(1 for s in samples if s.truth_present)
-    if n_pos == 0:
-        return 0.0
-    order = sorted(range(len(samples)), key=lambda i: -samples[i].objectness)
-    tp_cum = 0
-    fp_cum = 0
-    precisions = []
-    recalls = []
-    for i in order:
-        s = samples[i]
-        if s.truth_present and iou(s.bbox, s.truth) >= iou_threshold:
-            tp_cum += 1
-        else:
-            fp_cum += 1
-        precisions.append(tp_cum / (tp_cum + fp_cum))
-        recalls.append(tp_cum / n_pos)
-    # interpolated precision: max precision at recall >= r, for r = 0.00..1.00
-    total = 0.0
-    for k in range(101):
-        r = k / 100.0
-        p_best = 0.0
-        for p, rec in zip(precisions, recalls):
-            if rec >= r - 1e-12 and p > p_best:
-                p_best = p
-        total += p_best
-    return total / 101.0
+    return _interpolated_ap(*_ranked_ious(samples), iou_threshold)
 
 
 def ap_range(samples: Sequence[EvalSample]) -> tuple[float, float]:
-    """(AP50, AP50:95) with the 0.50:0.05:0.95 threshold ladder."""
-    aps = [average_precision(samples, t) for t in AP_RANGE_THRESHOLDS]
+    """(AP50, AP50:95) with the 0.50:0.05:0.95 threshold ladder, over one ranking."""
+    ranked, n_pos = _ranked_ious(samples)
+    aps = [_interpolated_ap(ranked, n_pos, t) for t in AP_RANGE_THRESHOLDS]
     return aps[0], float(np.mean(aps))
 
 

@@ -306,9 +306,10 @@ def multihead_attention(
     passed through the output projection. The heads run one at a time through
     one (tokens, tokens) score buffer, and each writes its context straight
     into its column slice. Whether the softmax shifts by the row maxima is
-    decided once over every head's scores: the heads run with the decision
-    taken over those scored so far, and start again from the first when a new
-    head's scores change it.
+    decided once, by ``_needs_shift`` over every head's scores: a first pass
+    runs every head unshifted and takes their min and max, and only when
+    those need the shift does a second pass run every head again, shifted.
+    Each head's output comes from the same operations either way.
 
     While the heads run it holds, beside its input, Q, K and V (tokens, dim),
     the score buffer and the context (out_rows, dim), all float64. Q, K, V
@@ -344,22 +345,18 @@ def multihead_attention(
     maps = np.empty((heads, t, t)) if return_weights else None
     buf = None if return_weights else np.empty((t, t))
     ctx = np.empty((n, d))
-    shift = False
-    lo, hi = np.inf, -np.inf  # over the scores of heads [0, scored)
-    h = scored = 0
-    while h < heads:
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = buf if maps is None else maps[h]
-        np.matmul(q[:, cols], k[:, cols].T, out=scores)
-        if h == scored:
-            lo, hi = np.minimum(lo, scores.min()), np.maximum(hi, scores.max())
-            scored += 1
-            if _needs_shift(lo, hi) != shift:
-                shift = not shift
-                h = 0
-                continue
-        np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
-        h += 1
+    lo, hi = np.inf, -np.inf  # over every head's scores (NaN once any is)
+    for shift in (False, True):
+        # an unshifted pass that overflows is run again shifted, NaN scores aside
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                scores = buf if maps is None else maps[h]
+                np.matmul(q[:, cols], k[:, cols].T, out=scores)
+                lo, hi = np.minimum(lo, scores.min()), np.maximum(hi, scores.max())
+                np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
+        if not _needs_shift(lo, hi):
+            break
     del q, k, v, buf, scores
     out = ctx @ params.wo.T.astype(np.float64, copy=False)
     del ctx

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import build_section, check_channel_order
-from .dqn import EpisodeLog, QNetwork, RewardTrace, empty_qnetwork
+from .dqn import EpisodeLog, QNetwork, RewardTrace
 from .errors import ContractViolation
 from .losses import BBox
 from .vital import (
@@ -263,7 +263,7 @@ def save_dqn_checkpoint(path, net: QNetwork, config: dict) -> None:
 
 def load_dqn_checkpoint(path) -> tuple[QNetwork, dict]:
     def empty(config):
-        net = empty_qnetwork()
+        net = QNetwork()
         return (net, config), qnetwork_tensors(net)
 
     return _read_checkpoint(path, "dqn", empty)

@@ -157,8 +157,7 @@ def _trajectory_svg(
     )
     if horizontal_axis == "xy":
         canvas.circle(0.0, 0.0, 5.0, "#000000")  # pad center
-    for i, log in enumerate(logs):
-        color = _TRACE_COLORS[i % len(_TRACE_COLORS)]
+    for color, log in zip(_TRACE_COLORS, logs):  # the first len(_TRACE_COLORS) logs
         states = [log.start] + [s.state for s in log.steps]
         xs, ys = zip(*(pick(s) for s in states))
         canvas.polyline(xs, ys, color)
@@ -168,5 +167,6 @@ def _trajectory_svg(
 
 
 def write_trajectory_projections(path_xy, path_xz, logs, config: EnvConfig) -> None:
+    """Both projections of the first ``len(_TRACE_COLORS)`` logs, one color each."""
     Path(path_xy).write_text(_trajectory_svg(logs, config, "xy"))
     Path(path_xz).write_text(_trajectory_svg(logs, config, "xz"))

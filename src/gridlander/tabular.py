@@ -1,12 +1,14 @@
 """Tabular solvers over the enumerated landing MDP.
 
-Value iteration produces the reference optimal policy used to audit the
-learned agent. A tabular Q-learning pass applies the classic one-step
-update Q <- (1-a) Q + a (r + g max Q') over deterministic exhaustive
-sweeps; states are ordered by (altitude, horizontal distance) so value
-information propagates backward from the pad within few sweeps. Each
-sweep runs as one vector update per wave of rows and action, bit for bit
-the row-by-row Gauss-Seidel sweep (see ``q_learning``).
+Value iteration solves the windless grid for its optimal policy: ``oracle``
+prints that policy's success rate from every start and how often tabular
+Q-learning's greedy policy agrees with it, and ``eval --oracle`` rolls it
+out; nothing compares it with a trained Q-network. Q-learning applies the
+classic one-step update Q <- (1-a) Q + a (r + g max Q') over deterministic
+exhaustive sweeps; states are ordered by (altitude, horizontal distance)
+so value information propagates backward from the pad within few sweeps.
+Each sweep runs as one vector update per wave of rows and action, bit for
+bit the row-by-row Gauss-Seidel sweep (see ``q_learning``).
 
 Every solver reads the table's successor rows directly. One lockstep
 rollout on the table steps many starts at once: every eligible start for

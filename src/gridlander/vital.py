@@ -350,10 +350,11 @@ def assemble_tokens(
     the class token and add the positional embedding."""
     cfg = weights.config
     expected = (cfg.embed_dim, cfg.patch_side, cfg.patch_side)
-    for name, s in (("visual", s_visual), ("thermal", s_thermal), ("lidar", s_lidar)):
+    stems = (s_visual, s_thermal, s_lidar)
+    for name, s in zip(MODALITIES, stems):
         if np.asarray(s).shape != expected:
             raise ContractViolation(f"{name} stem output must be {expected}")
-    stacked = np.concatenate([s_visual, s_thermal, s_lidar], axis=0)  # (3*e_d, p, p)
+    stacked = np.concatenate(stems, axis=0)  # (3*e_d, p, p)
     # token (r, c) -> row r*p + c, channels stay contiguous per modality
     flat = stacked.reshape(cfg.token_dim, cfg.patch_side * cfg.patch_side).T
     tokens = np.concatenate([weights.class_token, flat], axis=0)
@@ -442,16 +443,11 @@ def _check_finite(name: str, x: np.ndarray) -> np.ndarray:
 def detect(img: MultimodalImage, weights: VitalWeights) -> Detection:
     """Full forward pass to a Detection; pure in (image, weights)."""
     cfg = weights.config
-    stem_out = {}
-    for idx, modality in enumerate(MODALITIES):
-        plane = img.planes[idx][None, :, :]
-        stem_out[modality] = _check_finite(
-            f"stem[{modality}]", stem_forward(weights.stems[modality], plane, cfg)
-        )
-    tokens = _check_finite(
-        "token assembly",
-        assemble_tokens(stem_out["visual"], stem_out["thermal"], stem_out["lidar"], weights),
-    )
+    stems = [
+        _check_finite(f"stem[{m}]", stem_forward(weights.stems[m], img.planes[i][None, :, :], cfg))
+        for i, m in enumerate(MODALITIES)
+    ]
+    tokens = _check_finite("token assembly", assemble_tokens(*stems, weights))
     # the heads read only the class-token row of the encoder's output
     cls_row = _check_finite("encoder", encoder_forward(tokens, weights, class_only=True))
     obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridlander import perturb
+from gridlander import cli, perturb
 from gridlander.cli import main
-from gridlander.dqn import QNET_LAYOUT, QNetwork, TrainConfig, init_qnetwork
+from gridlander.dqn import QNetwork, TrainConfig, init_qnetwork
 from gridlander.env import EnvConfig
-from gridlander.nncore import DenseLayer
 from gridlander.persistence import (
     LABELS_HEADER,
     SampleRecord,
@@ -301,13 +300,14 @@ def test_eval_checkpoint_outputs_match_recorded_digests(tmp_path, capsys, monkey
 def _homing_qnetwork(descend: float) -> QNetwork:
     """A Q-network that moves toward the pad along its larger horizontal
     offset, and descends once both normalized offsets are below ``descend``."""
-    layers = [DenseLayer(np.zeros((o, i), np.float32), np.zeros(o, np.float32)) for i, o in QNET_LAYOUT]
+    net = QNetwork()
+    layers = net.layers
     layers[0].weights[:4, :2] = [[1, 0], [-1, 0], [0, 1], [0, -1]]  # relu(+-dx), relu(+-dy)
     for layer in layers[1:3]:
         layer.weights[:4, :4] = np.eye(4)
     layers[3].weights[:4, :4] = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     layers[3].bias[4] = descend
-    return QNetwork(layers)
+    return net
 
 
 # SHA-256 over `eval --checkpoint --wind 0.3 --out` stdout and the digest of
@@ -1030,6 +1030,30 @@ def test_detect_batch_out_directory_exit_2_before_any_work(tmp_path, capsys):
     assert "must name a file in an existing directory" in err
 
 
+@pytest.mark.parametrize("kind", ["labels", "image", "checkpoint", "config", "GRIDLANDER_CONFIG"])
+def test_detect_out_naming_an_input_exit_2_before_reading_weights(tmp_path, capsys, monkeypatch,
+                                                                   kind):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_ppm(batch / "img_0.ppm", make_image(87))
+    write_sample_records(batch / "labels.csv", [SampleRecord("img_0.ppm", 0.25, 0.25, 0.75, 0.75, 1)])
+    ckpt, config = tmp_path / "vital.ckpt", tmp_path / "config.json"
+    save_vital_checkpoint(ckpt, init_weights(SMALL_VITAL, 0))
+    config.write_text("{}")
+    target = {"labels": batch / "labels.csv", "image": batch / "img_0.ppm",
+              "checkpoint": ckpt}.get(kind, config)
+    before = target.read_bytes()
+    config_args = ["--config", str(config)] if kind == "config" else []
+    if kind == "GRIDLANDER_CONFIG":
+        monkeypatch.setenv("GRIDLANDER_CONFIG", str(config))
+    monkeypatch.setattr(cli, "_load_weights_or_random", lambda *a: pytest.fail("weights read"))
+    code, stdout, err = run(capsys, *config_args, "detect", "--batch", str(batch),
+                            "--checkpoint", str(ckpt), "--out", str(target))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {target}: {target} is an input\n"
+    assert target.read_bytes() == before
+
+
 def test_eval_oracle_out_file_exit_2_before_any_work(tmp_path, capsys, small_config):
     out = tmp_path / "traces"
     out.write_text("")
@@ -1094,6 +1118,35 @@ def test_perturb_out_holding_an_input_exit_2_before_writing(tmp_path, capsys):
     assert err == f"error: --out {tmp_path}: {image} is an input\n"
     assert image.read_bytes() == before
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,input_flag,name",
+    [
+        (["train", "--episodes", "1"], "--config", "reward_trace.csv"),
+        (["eval", "--oracle", "--episodes", "2"], "--config", "episode_001.csv"),
+        (["eval", "--episodes", "2"], "--checkpoint", "trajectories_xy.svg"),
+        (["perturb", "--image", "IMG", "--perturb", "flip_h"], "--config", "manifest.json"),
+    ],
+)
+def test_out_dir_holding_an_input_exit_2_before_any_work(tmp_path, capsys, command, input_flag,
+                                                           name):
+    image, out = tmp_path / "img.ppm", tmp_path / "out"
+    write_ppm(image, make_image(88))
+    out.mkdir()
+    held = out / name
+    command = [str(image) if a == "IMG" else a for a in command]
+    if input_flag == "--config":
+        held.write_text(json.dumps(SMALL_ENV))
+        argv = ["--config", str(held), *command]
+    else:
+        save_dqn_checkpoint(held, init_qnetwork(0), {"env": SMALL_ENV["env"]})
+        argv = [*command, "--checkpoint", str(held)]
+    before = held.read_bytes()
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    _assert_one_line_usage_error(code, stdout, err)
+    assert err == f"error: --out {out}: {held} is an input\n"
+    assert [p.name for p in out.iterdir()] == [name] and held.read_bytes() == before
 
 
 def test_perturb_input_named_like_the_manifest_exit_2_before_writing(tmp_path, capsys):

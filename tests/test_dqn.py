@@ -74,8 +74,11 @@ def constant_q_network(values):
 
 def test_qnetwork_layout_enforced():
     net = init_qnetwork(1)
-    with pytest.raises(ContractViolation):
-        QNetwork(net.layers[:-1])
+    for flat in (net.flat[:-1], net.flat.astype(np.float64), net.flat[None], net.layers):
+        with pytest.raises(ContractViolation):
+            QNetwork(flat)
+    assert QNetwork(net.flat).flat is net.flat  # wrapped, not copied
+    assert QNetwork().flat.tobytes() == bytes(4 * net.flat.size)  # zeros
 
 
 def test_q_values_zero_network():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridlander.losses import BBox
+from gridlander import metrics
+from gridlander.losses import BBox, iou
 from gridlander.metrics import (
     AP_RANGE_THRESHOLDS,
     Counts,
@@ -192,6 +193,82 @@ def test_ap_invariant_to_monotone_score_transforms(scale, shift):
         assert average_precision(transformed, thr) == pytest.approx(
             average_precision(FIVE_SAMPLES, thr), abs=1e-12
         )
+
+
+def ref_average_precision(samples, iou_threshold):
+    """The loop average_precision ran before it ranked once: a Python sort,
+    the precision-recall curve rank by rank, then at each of the 101 recall
+    levels a scan of the whole curve for the best precision at or above it."""
+    n_pos = sum(1 for s in samples if s.truth_present)
+    if n_pos == 0:
+        return 0.0
+    order = sorted(range(len(samples)), key=lambda i: -samples[i].objectness)
+    tp_cum = fp_cum = 0
+    precisions, recalls = [], []
+    for i in order:
+        s = samples[i]
+        if s.truth_present and iou(s.bbox, s.truth) >= iou_threshold:
+            tp_cum += 1
+        else:
+            fp_cum += 1
+        precisions.append(tp_cum / (tp_cum + fp_cum))
+        recalls.append(tp_cum / n_pos)
+    total = 0.0
+    for k in range(101):
+        r = k / 100.0
+        p_best = 0.0
+        for p, rec in zip(precisions, recalls):
+            if rec >= r - 1e-12 and p > p_best:
+                p_best = p
+        total += p_best
+    return total / 101.0
+
+
+def ref_ap_range(samples):
+    aps = [ref_average_precision(samples, t) for t in AP_RANGE_THRESHOLDS]
+    return aps[0], float(np.mean(aps))
+
+
+@st.composite
+def _boxes(draw):
+    x0, x1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    return BBox(x0, y0, x1, y1)
+
+
+@st.composite
+def _eval_samples(draw):
+    """Samples with tied objectness, some without truth, and some whose box
+    is its truth (IoU exactly 1.0)."""
+    out = []
+    for _ in range(draw(st.integers(0, 14))):
+        score = draw(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0))
+        box = draw(_boxes())
+        kind = draw(st.sampled_from(["none", "same", "other"]))
+        truth = None if kind == "none" else box if kind == "same" else draw(_boxes())
+        out.append(EvalSample(score, box, truth))
+    return out
+
+
+_ALL_NEGATIVE = [sample(0.9), sample(0.4), sample(0.9)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_samples())
+@example([])
+@example(_ALL_NEGATIVE)
+@example(FIVE_SAMPLES)
+def test_ap_matches_the_101_point_loop(samples):
+    assert repr(ap_range(samples)) == repr(ref_ap_range(samples))
+    for t in (0.0, 0.3, *AP_RANGE_THRESHOLDS, 1.0):
+        assert repr(average_precision(samples, t)) == repr(ref_average_precision(samples, t))
+
+
+def test_metrics_report_takes_one_iou_per_truth_box(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "iou", lambda a, b: calls.append(a) or iou(a, b))
+    metrics_report(FIVE_SAMPLES + _ALL_NEGATIVE)
+    assert len(calls) == 4  # FIVE_SAMPLES' truth boxes, not one per threshold
 
 
 # --- report ----------------------------------------------------------------------

@@ -741,16 +741,20 @@ def test_attention_bitwise_equals_batched_expression(case):
 
 def _trip_case(where):
     """Small-logit attention in which the shift is tripped only by the last
-    head's scores, or only by a row other than the class token's."""
+    head's scores, only by the first head's, or only by a row other than the
+    class token's; or by the first head's while NaN scores in the last head
+    keep the softmax unshifted."""
     rng = np.random.default_rng(17)
     heads, dh, t = 3, 2, 7
     d = heads * dh
     tokens = rng.standard_normal((t, d)).astype(np.float32)
     params = _random_attention_params(rng, d, np.float32)
-    if where == "late head":
-        last = slice(d - dh, d)
-        params.bq[last] = 30.0
-        params.bk[last] = 30.0
+    if where != "other row":
+        tripping = slice(d - dh, d) if where == "late head" else slice(0, dh)
+        params.bq[tripping] = 30.0
+        params.bk[tripping] = 30.0
+        if where == "NaN after trip":
+            params.bq[d - 1] = np.nan
     else:  # a large feature that only the queries read, in token row 4
         params.wk[:, 0] = 0.0
         params.wv[:, 0] = 0.0
@@ -759,16 +763,31 @@ def _trip_case(where):
     return tokens, params, heads
 
 
-@pytest.mark.parametrize("where", ["late head", "other row"])
+@pytest.mark.parametrize("where", ["late head", "other row", "first head", "NaN after trip"])
 def test_attention_shift_decided_over_every_head_and_row(where):
     tokens, params, heads = _trip_case(where)
     _, _, scores = ref_attention(tokens, params, heads)
-    assert _needs_shift(scores.min(), scores.max())
-    if where == "late head":
-        assert not _needs_shift(scores[:-1].min(), scores[:-1].max())
+    if where == "NaN after trip":
+        assert _needs_shift(scores[0].min(), scores[0].max()) and np.isnan(scores[-1]).all()
+        assert not _needs_shift(scores.min(), scores.max())
     else:
-        assert not _needs_shift(scores[:, 0].min(), scores[:, 0].max())
+        assert _needs_shift(scores.min(), scores.max())
+        rest = {"late head": scores[:-1], "first head": scores[1:], "other row": scores[:, 0]}
+        assert not _needs_shift(rest[where].min(), rest[where].max())
     _assert_attention_matches_reference(tokens, params, heads)
+
+
+def test_attention_softmaxes_each_head_once_when_no_shift_is_needed(monkeypatch):
+    rng = np.random.default_rng(19)
+    heads, tokens = 4, rng.standard_normal((5, 8))
+    params = _random_attention_params(rng, 8)
+    calls, softmax = [], nncore._softmax_rows_inplace
+    counted = lambda m, shift: calls.append(shift) or softmax(m, shift)
+    monkeypatch.setattr(nncore, "_softmax_rows_inplace", counted)
+    for kwargs in ({}, {"return_weights": True}, {"out_rows": 1}):
+        calls.clear()
+        multihead_attention(tokens, params, heads, **kwargs)
+        assert calls == [False] * heads
 
 
 def test_attention_out_rows_rejects_bad_requests():
