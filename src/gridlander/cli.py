@@ -9,9 +9,12 @@ provides the config path when --config is absent. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import os
+import pickle
 import sys
 import time
 from dataclasses import asdict, replace
@@ -186,6 +189,93 @@ def _parse_perturbations(specs, seed: int):
     return [perturb.parse_perturbation(s, seed=seed + i) for i, s in enumerate(specs)]
 
 
+def _blas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS, or 0 where it cannot be
+    read (numpy built against another BLAS)."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return 0
+    get.argtypes, get.restype = (), ctypes.c_int
+    return get()
+
+
+def _processes(frames: int) -> int:
+    """How many processes share ``frames`` independent frames: as many as
+    this process's CPUs hold groups of BLAS threads, and no more than
+    ``frames``. 1 where ``os.fork``, ``os.sched_getaffinity`` or the BLAS
+    thread count is missing, so one frame, or a BLAS that already fills the
+    CPUs, never forks."""
+    if frames < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threads = _blas_threads()
+    if threads < 1:
+        return 1
+    return max(1, min(frames, len(os.sched_getaffinity(0)) // threads))
+
+
+def _in_order(work, n: int, processes: int):
+    """Yield ``work(k)`` for k = 0..n-1, in order. This process computes the
+    k ≡ 0 (mod ``processes``) itself; forked child j computes the k ≡ j and
+    pickles one ``(ok, value)`` per k into its pipe, stopping at its first
+    exception, which is raised here when its k comes up, after every earlier
+    result. ``work`` must be a pure function of k, so every split yields the
+    same values. Each child is killed and reaped before this returns or
+    raises, however it ends. Forking is safe because the CLI starts no
+    thread; OpenBLAS shuts its own pool down around a fork."""
+    if processes < 2:
+        yield from map(work, range(n))
+        return
+    import signal  # loaded only where frames are split
+
+    readers, pids = [], []  # child j's at index j - 1
+    try:
+        for j in range(1, processes):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, range(j, n, processes), writer)
+            pids.append(pid)
+        for k in range(n):
+            if k % processes == 0:
+                yield work(k)
+                continue
+            try:
+                ok, value = pickle.load(readers[k % processes - 1])
+            except EOFError:
+                raise ChildProcessError(f"the process detecting frame {k} ended early") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(work, ks, out) -> None:
+    """A forked child's whole life: write ``(True, work(k))`` for each k of
+    ``ks`` to the pipe ``out``, or ``(False, exc)`` for the first k that
+    raises, then exit without flushing the parent's buffers or running its
+    exit handlers. A result that cannot be pickled ends the child early."""
+    try:
+        for k in ks:
+            try:
+                item = (True, work(k))
+            except BaseException as exc:
+                item = (False, exc)
+            out.write(pickle.dumps(item))
+            out.flush()
+            if not item[0]:
+                break
+    finally:
+        os._exit(0)
+
+
 def _cmd_detect(args, cfg: AppConfig) -> int:
     if bool(args.image) == bool(args.batch):
         raise ContractViolation("detect needs exactly one of --image or --batch")
@@ -219,19 +309,25 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
         raise ContractViolation(f"image not found: {missing}")
     perts = _parse_perturbations(args.perturb, args.seed)
     weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
-    samples = []
-    for img_path, truth in paths_and_truths:
+
+    def frame(k):
+        img_path, truth = paths_and_truths[k]
         img = persistence.read_ppm(img_path, cfg.ppm_channel_order)
         img, truth = perturb.apply_all(perts, img, truth)
-        det = vital_detect(img, weights)
-        b = det.bbox
-        box = f"{b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}"
-        if args.image:
-            print(f"objectness: {det.objectness:.4f}")
-            print(f"bbox: {box}")
-        else:
-            print(f"{img_path.name}: objectness {det.objectness:.4f} bbox {box}")
-        samples.append(EvalSample(det.objectness, det.bbox, truth))
+        return vital_detect(img, weights), truth
+
+    n = len(paths_and_truths)
+    samples = []
+    with contextlib.closing(_in_order(frame, n, _processes(n))) as results:
+        for (img_path, _), (det, truth) in zip(paths_and_truths, results):
+            b = det.bbox
+            box = f"{b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}"
+            if args.image:
+                print(f"objectness: {det.objectness:.4f}")
+                print(f"bbox: {box}")
+            else:
+                print(f"{img_path.name}: objectness {det.objectness:.4f} bbox {box}")
+            samples.append(EvalSample(det.objectness, det.bbox, truth))
     if labelled:  # metrics need ground truth
         report = metrics.metrics_report(samples)
         print(metrics.format_metrics_table({"batch": report}), end="")

@@ -55,7 +55,11 @@ def load_erf() -> np.ufunc:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    Every finite input gives a finite output: ``erf`` saturates, so the far
+    left tends to -0 and the far right to x itself (-1e4 and 1e4 give -0.0
+    and 1e4)."""
     x = np.asarray(x, dtype=np.float64)
     # (x * 0.5) * (1 + erf(x / sqrt2)), in that order, with one temporary
     out = np.divide(x, _SQRT2)
@@ -242,6 +246,11 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     """Normalize over the last axis to zero mean / unit variance, then affine.
 
     Accepts a vector or a (rows, dim) matrix normalized row-wise.
+
+    Every finite float32 row gives a finite output: the statistics run in
+    float64, where the squares of float32 values cannot overflow. A constant
+    row normalizes to 0 (the output is ``beta``), and a float32 row
+    [1e38, -1e38, 0, 0] to [1.414, -1.414, 0, 0] before the affine.
     """
     x = np.asarray(x)
     gamma, beta = np.asarray(gamma), np.asarray(beta)
@@ -260,9 +269,10 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
 
 def _needs_shift(lo: float, hi: float) -> bool:
     """Whether a softmax over logits spanning [lo, hi] subtracts each row's
-    max before exp(), which would otherwise overflow or underflow whole rows.
-    False when either bound is NaN."""
-    return hi > 700.0 or hi - lo > 700.0
+    max before exp(), which would otherwise overflow or underflow whole rows:
+    any logit above 700, any below -700 (a row of logits all below about -745
+    underflows to 0/0), or a span above 700. False when either bound is NaN."""
+    return hi > 700.0 or lo < -700.0 or hi - lo > 700.0
 
 
 def _softmax_rows_inplace(m: np.ndarray, shift: bool) -> np.ndarray:

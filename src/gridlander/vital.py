@@ -425,6 +425,9 @@ def _head_forward(head: HeadWeights, cls_row: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, in [0, 1] for every input but NaN: each branch
+    takes exp() of a value <= 0, so nothing overflows (-1000 and 1000 give 0
+    and 1)."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0

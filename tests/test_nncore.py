@@ -540,7 +540,7 @@ def ref_batchnorm(x, mean, var, gamma, beta, eps=1e-5):
 
 def ref_softmax(m):
     m = np.asarray(m, dtype=np.float64)
-    if m.max() > 700.0 or m.max() - m.min() > 700.0:
+    if m.max() > 700.0 or m.min() < -700.0 or m.max() - m.min() > 700.0:
         m = m - m.max(axis=-1, keepdims=True)
         np.maximum(m, -708.0, out=m)
     e = np.exp(m)
@@ -775,6 +775,43 @@ def test_attention_shift_decided_over_every_head_and_row(where):
         rest = {"late head": scores[:-1], "first head": scores[1:], "other row": scores[:, 0]}
         assert not _needs_shift(rest[where].min(), rest[where].max())
     _assert_attention_matches_reference(tokens, params, heads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offset=st.floats(-2000.0, 2000.0),
+    span=st.floats(0.0, 1000.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_attention_finite_at_any_score_offset(offset, span, seed):
+    """Random tokens and weights as in ``_trip_case``, with every head's
+    scores placed in [offset, offset + span]: each head's query is
+    (offset * sqrt(2), u_i) and its key (1, span * sqrt(2) * u_j), where u in
+    [0, 1] is token column 0. Scores all far below zero underflowed every
+    row to 0/0 before the shift also covered them."""
+    rng = np.random.default_rng(seed)
+    heads, dh, t = 3, 2, 7
+    d = heads * dh
+    tokens = rng.standard_normal((t, d))
+    tokens[:, 0] = rng.uniform(0.0, 1.0, t)
+    params = _random_attention_params(rng, d)
+    params.wq[:] = params.wk[:] = 0.0
+    params.wq[1::dh, 0] = 1.0
+    params.wk[1::dh, 0] = span * np.sqrt(2.0)
+    params.bq[:] = np.tile((offset * np.sqrt(2.0), 0.0), heads)
+    params.bk[:] = np.tile((1.0, 0.0), heads)
+    got = multihead_attention(tokens, params, heads)
+    assert np.isfinite(got).all()
+    want, _, scores = ref_attention(tokens, params, heads)
+    assert offset - 1e-9 * abs(offset) <= scores.min() <= scores.max() <= offset + span + 1e-6
+    assert_bitwise(got, want)
+
+
+def test_softmax_of_far_negative_logits_is_shifted():
+    m = np.array([[-800.0, -790.0]])
+    assert _needs_shift(m.min(), m.max())
+    p = _softmax_rows_inplace(m, _needs_shift(m.min(), m.max()))
+    assert np.isfinite(p).all() and p[0, 1] > 0.9999
 
 
 def test_attention_softmaxes_each_head_once_when_no_shift_is_needed(monkeypatch):
