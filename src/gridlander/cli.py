@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import json
 import os
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dqn, metrics, perturb, persistence, plots, tabular
+from . import cores, dqn, metrics, perturb, persistence, plots, tabular
 from .config import ENV_VAR, AppConfig, build_section, load_config
 from .env import EnvConfig, enumerate_mdp
 from .errors import ContractViolation, NumericFault
@@ -189,29 +188,11 @@ def _parse_perturbations(specs, seed: int):
     return [perturb.parse_perturbation(s, seed=seed + i) for i, s in enumerate(specs)]
 
 
-def _blas_threads() -> int:
-    """The thread count of numpy's bundled OpenBLAS, or 0 where it cannot be
-    read (numpy built against another BLAS)."""
-    try:
-        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return 0
-    get.argtypes, get.restype = (), ctypes.c_int
-    return get()
-
-
 def _processes(frames: int) -> int:
     """How many processes share ``frames`` independent frames: as many as
-    this process's CPUs hold groups of BLAS threads, and no more than
-    ``frames``. 1 where ``os.fork``, ``os.sched_getaffinity`` or the BLAS
-    thread count is missing, so one frame, or a BLAS that already fills the
-    CPUs, never forks."""
-    if frames < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    threads = _blas_threads()
-    if threads < 1:
-        return 1
-    return max(1, min(frames, len(os.sched_getaffinity(0)) // threads))
+    ``cores.cpu_share`` allows, and no more than ``frames``. So one frame,
+    or a BLAS that already fills the CPUs, never forks here."""
+    return 1 if frames < 2 else min(frames, cores.cpu_share())
 
 
 def _in_order(work, n: int, processes: int):
@@ -226,18 +207,13 @@ def _in_order(work, n: int, processes: int):
     if processes < 2:
         yield from map(work, range(n))
         return
-    import signal  # loaded only where frames are split
-
     readers, pids = [], []  # child j's at index j - 1
     try:
         for j in range(1, processes):
             r, w = os.pipe()
             readers.append(open(r, "rb"))
             with open(w, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:
-                    _child(work, range(j, n, processes), writer)
-            pids.append(pid)
+                pids.append(cores.fork(lambda: _child(work, range(j, n, processes), writer)))
         for k in range(n):
             if k % processes == 0:
                 yield work(k)
@@ -252,28 +228,22 @@ def _in_order(work, n: int, processes: int):
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        cores.reap(pids)
 
 
 def _child(work, ks, out) -> None:
-    """A forked child's whole life: write ``(True, work(k))`` for each k of
-    ``ks`` to the pipe ``out``, or ``(False, exc)`` for the first k that
-    raises, then exit without flushing the parent's buffers or running its
-    exit handlers. A result that cannot be pickled ends the child early."""
-    try:
-        for k in ks:
-            try:
-                item = (True, work(k))
-            except BaseException as exc:
-                item = (False, exc)
-            out.write(pickle.dumps(item))
-            out.flush()
-            if not item[0]:
-                break
-    finally:
-        os._exit(0)
+    """A forked child's work: write ``(True, work(k))`` for each k of ``ks``
+    to the pipe ``out``, or ``(False, exc)`` for the first k that raises. A
+    result that cannot be pickled ends the child early."""
+    for k in ks:
+        try:
+            item = (True, work(k))
+        except BaseException as exc:
+            item = (False, exc)
+        out.write(pickle.dumps(item))
+        out.flush()
+        if not item[0]:
+            break
 
 
 def _cmd_detect(args, cfg: AppConfig) -> int:
@@ -310,15 +280,18 @@ def _cmd_detect(args, cfg: AppConfig) -> int:
     perts = _parse_perturbations(args.perturb, args.seed)
     weights = _load_weights_or_random(args.checkpoint, cfg, args.seed)
 
+    n = len(paths_and_truths)
+    processes = _processes(n)
+    lanes = cores.cpu_share() // processes  # each frame's share of the CPUs
+
     def frame(k):
         img_path, truth = paths_and_truths[k]
         img = persistence.read_ppm(img_path, cfg.ppm_channel_order)
         img, truth = perturb.apply_all(perts, img, truth)
-        return vital_detect(img, weights), truth
+        return vital_detect(img, weights, lanes), truth
 
-    n = len(paths_and_truths)
     samples = []
-    with contextlib.closing(_in_order(frame, n, _processes(n))) as results:
+    with contextlib.closing(_in_order(frame, n, processes)) as results:
         for (img_path, _), (det, truth) in zip(paths_and_truths, results):
             b = det.bbox
             box = f"{b.x_min:.4f} {b.y_min:.4f} {b.x_max:.4f} {b.y_max:.4f}"

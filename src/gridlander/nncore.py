@@ -25,6 +25,7 @@ from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
+from .cores import SERIAL, Lane
 from .errors import ContractViolation
 
 _SQRT2 = np.sqrt(2.0)
@@ -309,6 +310,7 @@ def multihead_attention(
     heads: int,
     return_weights: bool = False,
     out_rows: int | None = None,
+    lane: Lane = SERIAL,
 ):
     """Scaled dot-product attention over (tokens, dim) rows.
 
@@ -330,45 +332,60 @@ def multihead_attention(
     computed; every row's scores are still computed, since they take part in
     the decision. With ``return_weights`` the float64 attention maps
     (heads, tokens, tokens) are returned as well; the two do not combine.
+
+    With a ``lane`` of several (``cores.run``), ``tokens`` holds this lane's
+    rows ``lane.part(t)`` of the t = ``lane.rows`` rows. The lane projects
+    those rows of Q, K and V into the arrays every lane shares; after a
+    barrier it runs its heads ``lane.part(heads)`` over every row; the lanes
+    pool their score min and max, so the shift is decided over every head as
+    in one lane, and that barrier (or a third, when the shift reruns) leaves
+    the whole context in place. The lane returns its output rows
+    ``lane.part(out_rows)``. Each GEMM is one lane's rows or heads of a GEMM
+    one lane would run, so the output is the same bytes for every lane count.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractViolation("attention expects a (tokens, dim) matrix")
-    t, d = tokens.shape
+    t, d = lane.rows or len(tokens), tokens.shape[1]
     if d % heads != 0:
         raise ContractViolation(f"token dim {d} not divisible by {heads} heads")
     if out_rows is not None and (return_weights or not 1 <= out_rows <= t):
         raise ContractViolation("out_rows must lie in [1, tokens], without return_weights")
+    if return_weights and lane.count > 1:
+        raise ContractViolation("return_weights needs the whole attention in one lane")
     dh = d // heads
     n = t if out_rows is None else out_rows
+    rows = lane.part(t)
     x64 = np.asarray(tokens, dtype=np.float64)
-
-    def project(w, b):
-        y = x64 @ w.T.astype(np.float64, copy=False)
-        y += b
-        return y
-
-    q = project(params.wq, params.bq)
-    k = project(params.wk, params.bk)
-    v = project(params.wv, params.bv)
-    q *= 1.0 / np.sqrt(dh)  # fold the score scale into Q
+    q, k, v = (lane.array(name, (t, d)) for name in ("q", "k", "v"))
+    for y, w, b in ((q, params.wq, params.bq), (k, params.wk, params.bk), (v, params.wv, params.bv)):
+        np.matmul(x64, w.T.astype(np.float64, copy=False), out=y[rows])
+        y[rows] += b
+    q[rows] *= 1.0 / np.sqrt(dh)  # fold the score scale into Q
+    lane.barrier()  # every row of Q, K and V is in place
     maps = np.empty((heads, t, t)) if return_weights else None
     buf = None if return_weights else np.empty((t, t))
-    ctx = np.empty((n, d))
-    lo, hi = np.inf, -np.inf  # over every head's scores (NaN once any is)
-    for shift in (False, True):
+    ctx = lane.array("ctx", (n, d))
+
+    def run_heads(shift: bool):
+        """This lane's heads into their columns of ``ctx``; the min and max
+        of their scores (NaN once any is)."""
+        lo, hi = np.inf, -np.inf
         # an unshifted pass that overflows is run again shifted, NaN scores aside
         with np.errstate(over="ignore", invalid="ignore"):
-            for h in range(heads):
+            for h in range(heads)[lane.part(heads)]:
                 cols = slice(h * dh, (h + 1) * dh)
                 scores = buf if maps is None else maps[h]
                 np.matmul(q[:, cols], k[:, cols].T, out=scores)
                 lo, hi = np.minimum(lo, scores.min()), np.maximum(hi, scores.max())
                 np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
-        if not _needs_shift(lo, hi):
-            break
-    del q, k, v, buf, scores
-    out = ctx @ params.wo.T.astype(np.float64, copy=False)
+        return lo, hi
+
+    if _needs_shift(*lane.span(*run_heads(False))):
+        run_heads(True)
+        lane.barrier()  # every head's shifted context is in place
+    del q, k, v, buf
+    out = ctx[lane.part(n)] @ params.wo.T.astype(np.float64, copy=False)
     del ctx
     out += params.bo
     out = out.astype(_out_dtype(tokens, params.wo), copy=False)

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import cores
 from .errors import ContractViolation, NumericFault
 from .losses import BBox
 from .nncore import (
@@ -366,6 +367,7 @@ def encoder_forward(
     weights: VitalWeights,
     collect_attention: bool = False,
     class_only: bool = False,
+    lane: cores.Lane = cores.SERIAL,
 ):
     """Pre-norm transformer encoder: x += MHA(LN(x)); x += FFN(LN(x)).
 
@@ -374,7 +376,14 @@ def encoder_forward(
     class-token row alone, after checking that the stream entering it is
     finite, and that row is the result; the two do not combine.
 
-    Beside the float64 residual stream it holds only the running block's
+    Run as one ``lane`` of several (``run_lanes``), the float64 residual
+    stream is the array every lane shares; each lane normalizes and projects
+    its rows ``lane.part(t)``, runs its attention heads over every row
+    (``multihead_attention``), and carries its rows of the attention output
+    through the residual add and the FFN. Every lane returns the result.
+    ``collect_attention`` needs one lane.
+
+    Beside the residual stream it holds only the running block's
     intermediates, each dropped after its last reader: the attention's
     normalized input until attention returns, its output until it is added,
     then the FFN's normalized input until the GELU returns and the GELU's
@@ -383,38 +392,77 @@ def encoder_forward(
     """
     cfg = weights.config
     tokens = np.asarray(tokens, dtype=np.float32)
-    if tokens.shape != (cfg.token_count, cfg.token_dim):
+    t = cfg.token_count
+    if tokens.shape != (t, cfg.token_dim):
         raise ContractViolation(
             f"encoder expects ({cfg.token_count},{cfg.token_dim}), got {tokens.shape}"
         )
-    x = tokens.astype(np.float64)  # residual stream stays float64 until exit
+    own = lane.part(t)
+    x = lane.array("x", tokens.shape)
+    x[own] = tokens[own]  # the residual stream stays float64 until exit
     maps = []
     for i, layer in enumerate(weights.encoder):
         rows = None
         if class_only and i == len(weights.encoder) - 1:
+            lane.barrier()  # every row of the stream is in place
             _check_finite("encoder", x)
             rows = 1
-        normed = layernorm(x, layer.ln_attn.gamma, layer.ln_attn.beta)
+        normed = layernorm(x[own], layer.ln_attn.gamma, layer.ln_attn.beta)
         if collect_attention:
             att_out, att_w = multihead_attention(
-                normed, layer.attention, cfg.heads, return_weights=True, out_rows=rows
+                normed, layer.attention, cfg.heads, return_weights=True, out_rows=rows, lane=lane
             )
             maps.append(att_w)
         else:
-            att_out = multihead_attention(normed, layer.attention, cfg.heads, out_rows=rows)
+            att_out = multihead_attention(normed, layer.attention, cfg.heads, out_rows=rows,
+                                          lane=lane)
         del normed
-        x = x[: len(att_out)]
-        x += att_out
+        y = x[lane.part(rows or t)]
+        y += att_out
         del att_out
-        normed = layernorm(x, layer.ln_ffn.gamma, layer.ln_ffn.beta)
+        normed = layernorm(y, layer.ln_ffn.gamma, layer.ln_ffn.beta)
         h = gelu(dense_forward(layer.ffn_in, normed))
         del normed
-        x += dense_forward(layer.ffn_out, h)
+        y += dense_forward(layer.ffn_out, h)
         del h
+    lane.barrier()  # every row of the output is in place
     out = (x[0] if class_only else x).astype(np.float32)
     if collect_attention:
         return out, maps
     return out
+
+
+def run_lanes(lanes: int, cfg: VitalConfig, body):
+    """``body(lane)`` in ``lanes`` processes, at most one per attention head
+    (``cores.run``); lane 0's result. The lanes share the stem outputs and
+    the encoder's residual stream, Q, K, V and attention context."""
+    t, d = cfg.token_count, cfg.token_dim
+    layout = {
+        "stems": (_stems_shape(cfg), np.float32),
+        **{name: ((t, d), np.float64) for name in ("x", "q", "k", "v", "ctx")},
+    }
+    return cores.run(min(lanes, cfg.heads), t, layout, body)
+
+
+def _stems_shape(cfg: VitalConfig) -> tuple:
+    return (len(MODALITIES), cfg.embed_dim, cfg.patch_side, cfg.patch_side)
+
+
+def _frame(img: MultimodalImage, weights: VitalWeights, lane) -> np.ndarray:
+    """The float32 class-token row of the encoder's output for ``img``, as
+    ``lane`` of its lanes: each lane computes its stems ``lane.part(3)``, then
+    every lane checks all three and assembles the tokens, so every lane
+    raises the same first fault, in one lane's order."""
+    cfg = weights.config
+    stems = lane.array("stems", _stems_shape(cfg), np.float32)
+    for i in range(len(MODALITIES))[lane.part(len(MODALITIES))]:
+        stems[i] = stem_forward(weights.stems[MODALITIES[i]], img.planes[i][None, :, :], cfg)
+    lane.barrier()  # every stem is in place
+    for m, s in zip(MODALITIES, stems):
+        _check_finite(f"stem[{m}]", s)
+    tokens = _check_finite("token assembly", assemble_tokens(*stems, weights))
+    # the heads read only the class-token row of the encoder's output
+    return encoder_forward(tokens, weights, class_only=True, lane=lane)
 
 
 def _head_forward(head: HeadWeights, cls_row: np.ndarray) -> np.ndarray:
@@ -443,18 +491,22 @@ def _check_finite(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def detect(img: MultimodalImage, weights: VitalWeights) -> Detection:
-    """Full forward pass to a Detection; pure in (image, weights)."""
+def detect(img: MultimodalImage, weights: VitalWeights, lanes: Optional[int] = None) -> Detection:
+    """Full forward pass to a Detection; pure in (image, weights).
+
+    The frame runs in ``lanes`` processes, by default ``cores.cpu_share()``,
+    at most one per attention head: with two, lane 1 computes the lidar stem
+    while this process computes the other two, and each encoder layer splits
+    its rows and heads between them (``encoder_forward``). The Detection is
+    the same bytes for every lane count. Floating-point warnings are off;
+    the ``_check_finite`` guards raise a NumericFault instead."""
     cfg = weights.config
-    stems = [
-        _check_finite(f"stem[{m}]", stem_forward(weights.stems[m], img.planes[i][None, :, :], cfg))
-        for i, m in enumerate(MODALITIES)
-    ]
-    tokens = _check_finite("token assembly", assemble_tokens(*stems, weights))
-    # the heads read only the class-token row of the encoder's output
-    cls_row = _check_finite("encoder", encoder_forward(tokens, weights, class_only=True))
-    obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))
-    box_logit = _check_finite("box head", _head_forward(weights.head_box, cls_row))
+    with np.errstate(all="ignore"):
+        cls_row = run_lanes(cores.cpu_share() if lanes is None else lanes, cfg,
+                            lambda lane: _frame(img, weights, lane))
+        cls_row = _check_finite("encoder", cls_row)
+        obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))
+        box_logit = _check_finite("box head", _head_forward(weights.head_box, cls_row))
     objectness = float(_sigmoid(obj_logit)[0])
     raw = _sigmoid(box_logit)
     x_lo, x_hi = sorted((float(raw[0]), float(raw[2])))

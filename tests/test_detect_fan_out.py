@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridlander import cli
+from gridlander import cli, cores
 from gridlander.cli import main
 from gridlander.persistence import FormatError, SampleRecord, write_ppm, write_sample_records
 from gridlander.vital import MultimodalImage
@@ -120,19 +120,19 @@ def test_in_order_abandoned_by_its_reader_leaves_no_child():
 )
 def test_process_count_rule(monkeypatch, frames, cpus, threads, want):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(cli, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(cores, "_blas_threads", lambda: threads)
     assert cli._processes(frames) == want
 
 
 def test_process_count_is_one_without_fork(monkeypatch):
-    monkeypatch.setattr(cli, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(cores, "_blas_threads", lambda: 1)
     monkeypatch.delattr(os, "fork", raising=False)
     assert cli._processes(8) == 1
 
 
 @BUNDLED_OPENBLAS
 def test_blas_thread_count_reads_numpys_openblas():
-    assert cli._blas_threads() >= 1
+    assert cores._blas_threads() >= 1
 
 
 # --- the single-frame paths ------------------------------------------------------
@@ -160,7 +160,7 @@ def test_single_frame_paths_never_fork(tmp_path, monkeypatch, capsys):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    monkeypatch.setattr(cli, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(cores, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     batch = make_batch(tmp_path / "batch", 3)
     argvs = (
