@@ -21,6 +21,7 @@ tracer records in it stay in the child and end with it.
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 import os
 import signal
@@ -29,15 +30,23 @@ from typing import Callable
 import numpy as np
 
 
-def _blas_threads() -> int:
-    """The thread count of numpy's bundled OpenBLAS, or 0 where it cannot be
-    read (numpy built against another BLAS)."""
+@functools.cache
+def _blas_thread_count_reader():
+    """numpy's bundled OpenBLAS's thread-count function, or None where numpy
+    is built against another BLAS."""
     try:
         get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
     except (AttributeError, OSError):
-        return 0
+        return None
     get.argtypes, get.restype = (), ctypes.c_int
-    return get()
+    return get
+
+
+def _blas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS, or 0 where it cannot be
+    read (numpy built against another BLAS)."""
+    get = _blas_thread_count_reader()
+    return 0 if get is None else get()
 
 
 def cpu_share() -> int:
@@ -53,14 +62,32 @@ def cpu_share() -> int:
     return max(1, len(os.sched_getaffinity(0)) // threads)
 
 
+@functools.cache
+def _prctl():
+    """The C library's ``prctl``, or None where it has none (not Linux)."""
+    try:
+        return ctypes.CDLL(None).prctl
+    except (AttributeError, OSError):
+        return None
+
+
+_PR_SET_PDEATHSIG = 1
+
+
 def fork(life: Callable[[], object]) -> int:
     """Fork a child that runs ``life()`` and then exits, however that ends,
     without flushing this process's buffers or running its exit handlers;
-    return the child's pid."""
+    return the child's pid. Where ``prctl`` exists the child is killed when
+    this process ends, so a child's own children (a frame's lanes in a
+    ``detect --batch`` child) end with it, not at their next barrier."""
+    prctl, parent = _prctl(), os.getpid()
     pid = os.fork()
     if pid == 0:
         try:
-            life()
+            if prctl is not None:
+                prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
+            if os.getppid() == parent:  # else the parent ended before prctl
+                life()
         finally:
             os._exit(0)
     return pid

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlander import cores, vital
+from gridlander.cli import main
 from gridlander.errors import NumericFault
 from gridlander.nncore import _needs_shift, layernorm
 from gridlander.persistence import save_vital_checkpoint, write_ppm
@@ -28,12 +30,19 @@ from gridlander.vital import (
     run_lanes,
     stem_forward,
 )
-from test_detect_fan_out import SRC, BUNDLED_OPENBLAS, TWO_CPUS, assert_no_child_left, run_detect
+from test_detect_fan_out import (
+    BUNDLED_OPENBLAS,
+    SRC,
+    TWO_CPUS,
+    assert_no_child_left,
+    make_batch,
+    run_detect,
+)
 from test_vital import GOLDEN, detection_bytes, golden_frames, random_image
 
 CFG = VitalConfig()
 FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes need os.fork")
-LANES = pytest.mark.parametrize("lanes", [1, 2, 3])
+LANES = pytest.mark.parametrize("lanes", [1, 2, 3, 4, 6])
 
 
 def in_lanes(lanes, tokens, w, class_only):
@@ -81,7 +90,7 @@ def test_golden_digests_in_every_lane_count(lanes):
     layers=st.integers(0, 3),
     ffn_hidden=st.integers(1, 8),
     scale=st.sampled_from([0.5, 4.0, 60.0]),
-    lanes=st.sampled_from([2, 3]),
+    lanes=st.sampled_from([2, 3, 4, 6]),
     data=st.data(),
 )
 def test_lanes_equal_one_lane_on_small_configs(embed_dim, layers, ffn_hidden, scale, lanes, data):
@@ -206,6 +215,48 @@ def test_keyboard_interrupt_in_lane_0_leaves_no_child(lanes, monkeypatch):
     assert_no_child_left()
 
 
+def running(pid):
+    """Whether ``pid`` is a process that has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@FORKS
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+def test_batch_of_fewer_frames_than_the_cpu_share_leaves_no_grandchild(tmp_path, monkeypatch):
+    """Two frames on a share of four run in two processes of two lanes each,
+    so the frame child forks a lane child of its own. When this process's
+    frame is interrupted, the frame child is killed, and its lane child dies
+    with it mid-frame instead of running on to its next barrier."""
+    monkeypatch.setattr(cores, "cpu_share", lambda: 4)
+    batch = make_batch(tmp_path / "batch", 2)
+    parent, record, gelu = os.getpid(), tmp_path / "grandchild", vital.gelu
+
+    def patched(x):
+        if os.getpid() == parent:  # wait until the grandchild is mid-frame
+            deadline = time.monotonic() + 60
+            while not record.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        if os.getppid() != parent:  # the frame child's lane child
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid", record)
+            time.sleep(60)
+        return gelu(x)
+
+    monkeypatch.setattr(vital, "gelu", patched)
+    with pytest.raises(KeyboardInterrupt):
+        main(["detect", "--batch", str(batch)])
+    assert_no_child_left()
+    grandchild, deadline = int(record.read_text()), time.monotonic() + 10
+    while running(grandchild) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running(grandchild)
+
+
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (4, 8)])
 def test_nothing_forks_where_blas_threads_fill_the_cpus(cpus, threads, monkeypatch):
     def no_fork():
@@ -239,8 +290,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
 def test_steady_state_lane_frames_fault_only_the_pages_lane_0_writes():
     """Each frame's fork costs lane 0 one fault per page it writes: its heap
     pages, copied, and its first touch of the frame's fresh shared arrays,
-    about 3.3k a frame in all. The heap stays pinned: one lane takes almost
-    none (tests/test_vital.py)."""
+    about 3.3k a frame in all. One lane takes almost none, since the heap
+    stays pinned; ``test_steady_state_frames_take_no_page_faults``
+    (tests/test_vital.py) runs the default lane count, so it fails where
+    one BLAS thread leaves a second CPU for a lane."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-c", STEADY_STATE_LANE_FAULTS], env=env,
                             capture_output=True, text=True, timeout=300)

@@ -358,9 +358,7 @@ def test_detect_traced_peak_under_11_mib():
 #
 # Building a detector pins glibc's mmap and trim thresholds, so the temporaries
 # one frame frees stay mapped for the next frame instead of being faulted back
-# in (about 9k minor faults per frame without the pin). The frames run in one
-# lane: a frame split across lanes forks, and after a fork every page a
-# process writes faults once more, copied (tests/test_detect_lanes.py).
+# in (about 9k minor faults per frame without the pin).
 
 STEADY_STATE_FAULTS = """
 import resource
@@ -369,10 +367,10 @@ from gridlander.vital import MultimodalImage, VitalConfig, detect, init_weights
 w = init_weights(VitalConfig(), 0)
 img = MultimodalImage(np.random.default_rng(1).random((3, 160, 160)).astype(np.float32))
 for _ in range(2):
-    detect(img, w, 1)
+    detect(img, w)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    detect(img, w, 1)
+    detect(img, w)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
 """
 
