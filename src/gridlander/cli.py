@@ -197,23 +197,31 @@ def _processes(frames: int) -> int:
 
 def _in_order(work, n: int, processes: int):
     """Yield ``work(k)`` for k = 0..n-1, in order. This process computes the
-    k ≡ 0 (mod ``processes``) itself; forked child j computes the k ≡ j and
-    pickles one ``(ok, value)`` per k into its pipe, stopping at its first
-    exception, which is raised here when its k comes up, after every earlier
-    result. ``work`` must be a pure function of k, so every split yields the
-    same values. Each child is killed and reaped before this returns or
-    raises, however it ends. Forking is safe because the CLI starts no
-    thread; OpenBLAS shuts its own pool down around a fork."""
+    k ≡ 0 (mod ``processes``) itself; forked child j (``cores.children``)
+    computes the k ≡ j and pickles one ``(ok, value)`` per k into its link,
+    stopping at its first exception, which is raised here when its k comes
+    up, after every earlier result. A result that cannot be pickled ends the
+    child early. ``work`` must be a pure function of k, so every split yields
+    the same values. Each child is killed and reaped before this returns or
+    raises, however it ends."""
     if processes < 2:
         yield from map(work, range(n))
         return
-    readers, pids = [], []  # child j's at index j - 1
-    try:
-        for j in range(1, processes):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            with open(w, "wb") as writer:
-                pids.append(cores.fork(lambda: _child(work, range(j, n, processes), writer)))
+
+    def life(j, fd):
+        with open(fd, "wb", closefd=False) as out:
+            for k in range(j, n, processes):
+                try:
+                    item = (True, work(k))
+                except BaseException as exc:
+                    item = (False, exc)
+                out.write(pickle.dumps(item))
+                out.flush()
+                if not item[0]:
+                    break
+
+    with cores.children(processes, life) as links:
+        readers = [open(fd, "rb", closefd=False) for fd in links]
         for k in range(n):
             if k % processes == 0:
                 yield work(k)
@@ -225,25 +233,6 @@ def _in_order(work, n: int, processes: int):
             if not ok:
                 raise value
             yield value
-    finally:
-        for reader in readers:
-            reader.close()
-        cores.reap(pids)
-
-
-def _child(work, ks, out) -> None:
-    """A forked child's work: write ``(True, work(k))`` for each k of ``ks``
-    to the pipe ``out``, or ``(False, exc)`` for the first k that raises. A
-    result that cannot be pickled ends the child early."""
-    for k in ks:
-        try:
-            item = (True, work(k))
-        except BaseException as exc:
-            item = (False, exc)
-        out.write(pickle.dumps(item))
-        out.flush()
-        if not item[0]:
-            break
 
 
 def _cmd_detect(args, cfg: AppConfig) -> int:

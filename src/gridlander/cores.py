@@ -4,15 +4,16 @@ detector frame across them.
 ``cpu_share`` is the one rule for both uses: ``detect --batch`` runs that
 many frames side by side (``cli._processes``), and one frame runs in that
 many lanes (``vital.detect``), each frame of a batch taking the share its
-process leaves.
+process leaves. Both fork their processes through ``children`` alone.
 
 A *lane* is one process's share of a frame's work. Lane 0 is the calling
 process; lanes 1 to n-1 are children forked for the frame, which exit when
 it ends. The arrays every lane reads (``run``'s layout) live in one
-anonymous shared ``mmap``, and the lanes keep in step through one-byte pipe
-barriers: each child writes a byte to lane 0 and waits for one back, and
-lane 0 answers once every child has written. So only lane 0 ever waits on
-a child, and a child that dies shows there as an end of file.
+anonymous shared ``mmap``, and the lanes keep in step through one-byte
+barriers over each child's link: each child writes a byte to lane 0 and
+waits for one back, and lane 0 answers once every child has written. So
+only lane 0 ever waits on a child, and a child that dies shows there as an
+end of file or a reset link.
 
 Forked processes, not threads: a child's memory allocator and any spans a
 tracer records in it stay in the child and end with it.
@@ -20,6 +21,7 @@ tracer records in it stay in the child and end with it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import mmap
@@ -74,30 +76,57 @@ def _prctl():
 _PR_SET_PDEATHSIG = 1
 
 
-def fork(life: Callable[[], object]) -> int:
-    """Fork a child that runs ``life()`` and then exits, however that ends,
-    without flushing this process's buffers or running its exit handlers;
-    return the child's pid. Where ``prctl`` exists the child is killed when
-    this process ends, so a child's own children (a frame's lanes in a
+@contextlib.contextmanager
+def children(count: int, life: Callable[[int, int], object]):
+    """Fork children 1 to ``count - 1``, each linked to this process by one
+    socket pair, and yield this process's ends of their links, child j's at
+    index j - 1. Child j closes every one of those ends it inherited, runs
+    ``life(j, fd)`` with ``fd`` its own end, and then exits, however that
+    ends, without flushing this process's buffers or running its exit
+    handlers. When the block exits, however it exits, this process closes
+    its ends and kills and reaps every child.
+
+    Forking is safe because the CLI starts no thread; OpenBLAS shuts its own
+    pool down around a fork. Where ``prctl`` exists each child is killed
+    when this process ends, so a child's own children (a frame's lanes in a
     ``detect --batch`` child) end with it, not at their next barrier."""
+    import socket  # here, so that a process that never forks does not load it
+
     prctl, parent = _prctl(), os.getpid()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            if prctl is not None:
-                prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
-            if os.getppid() == parent:  # else the parent ended before prctl
-                life()
-        finally:
-            os._exit(0)
-    return pid
+    links, pids = [], []  # child j's link end and pid at index j - 1
+    try:
+        for j in range(1, count):
+            ours, theirs = socket.socketpair()
+            with theirs:
+                links.append(ours.detach())
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for fd in links:
+                            os.close(fd)
+                        if prctl is not None:
+                            prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
+                        if os.getppid() == parent:  # else the parent ended before prctl
+                            life(j, theirs.fileno())
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        yield links
+    finally:
+        for fd in links:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def reap(pids) -> None:
-    """Kill and wait for each child of ``pids``, whether or not it has ended."""
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+def _await(fd: int, lane: int) -> None:
+    try:
+        if os.read(fd, 1):
+            return
+    except ConnectionResetError:  # it ended with a byte of ours unread
+        pass
+    raise ChildProcessError(f"detector lane {lane} ended early")
 
 
 class Lane:
@@ -132,13 +161,12 @@ SERIAL = Lane()
 
 
 class _Forked(Lane):
-    """Lane ``index`` of ``count`` forked lanes: ``ups`` and ``downs`` are lane
-    0's pipe ends to each child, or a child's one pair to lane 0."""
+    """Lane ``index`` of ``count`` forked lanes: ``links`` are lane 0's ends of
+    each child's link, or a child's one end of its link to lane 0."""
 
-    def __init__(self, index, count, rows, arrays, spans, ups, downs):
+    def __init__(self, index, count, rows, arrays, spans, links):
         self.index, self.count, self.rows = index, count, rows
-        self._arrays, self._spans = arrays, spans
-        self._ups, self._downs = ups, downs
+        self._arrays, self._spans, self._links = arrays, spans, links
 
     def array(self, name, shape, dtype=np.float64):
         flat = self._arrays[name]
@@ -150,15 +178,13 @@ class _Forked(Lane):
     def barrier(self):
         try:
             if self.index == 0:
-                for j, fd in enumerate(self._ups, 1):
-                    if not os.read(fd, 1):
-                        raise ChildProcessError(f"detector lane {j} ended early")
-                for fd in self._downs:
+                for j, fd in enumerate(self._links, 1):
+                    _await(fd, j)
+                for fd in self._links:
                     os.write(fd, b"\0")
             else:
-                os.write(self._ups[0], b"\0")
-                if not os.read(self._downs[0], 1):
-                    raise ChildProcessError("detector lane 0 ended early")
+                os.write(self._links[0], b"\0")
+                _await(self._links[0], 0)
         except BrokenPipeError:
             raise ChildProcessError("a detector lane ended early") from None
 
@@ -189,29 +215,9 @@ def run(count: int, rows: int, layout: dict, body: Callable[[Lane], object]):
     shared = mmap.mmap(-1, size)
     arrays = {name: np.frombuffer(shared, dt, n, offset) for name, (offset, n, dt) in regions.items()}
     spans = arrays.pop("spans").reshape(count, 2)
-    opened, pids = [], []  # the pipe ends this process holds; the children
-    try:
-        pipes = []  # child j's (up_r, up_w, down_r, down_w) at index j - 1
-        for _ in range(1, count):
-            for _pipe in range(2):
-                opened += os.pipe()
-            pipes.append(tuple(opened[-4:]))
-        for j, (_, up_w, down_r, _) in enumerate(pipes, 1):
 
-            def child(j=j, up_w=up_w, down_r=down_r):
-                for fd in opened:
-                    if fd not in (up_w, down_r):
-                        os.close(fd)
-                body(_Forked(j, count, rows, arrays, spans, [up_w], [down_r]))
+    def life(j, fd):
+        body(_Forked(j, count, rows, arrays, spans, [fd]))
 
-            pids.append(fork(child))
-        for _, up_w, down_r, _ in pipes:  # the children's ends
-            for fd in (up_w, down_r):
-                opened.remove(fd)
-                os.close(fd)
-        ups, downs = [p[0] for p in pipes], [p[3] for p in pipes]
-        return body(_Forked(0, count, rows, arrays, spans, ups, downs))
-    finally:
-        for fd in opened:
-            os.close(fd)
-        reap(pids)
+    with children(count, life) as links:
+        return body(_Forked(0, count, rows, arrays, spans, links))

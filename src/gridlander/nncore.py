@@ -8,7 +8,9 @@ Conventions:
   * every dot product is accumulated in ``float64`` and the result is cast
     back to the parameter dtype, which keeps the kernels within 1e-6 of
     naive reference loops;
-  * all functions are pure and safe to call concurrently.
+  * every function is pure and safe to call concurrently, except
+    ``multihead_attention`` run as a forked lane (``cores.run``), which
+    writes the arrays every lane shares and waits at the lanes' barriers.
 
 The ops are dtype-generic: layers built from ``float64`` parameters stay in
 ``float64`` end to end, which the gradient-check tests rely on.

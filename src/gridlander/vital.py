@@ -362,6 +362,7 @@ def assemble_tokens(
     return (tokens + weights.positional).astype(np.float32)
 
 
+@np.errstate(all="ignore")
 def encoder_forward(
     tokens: np.ndarray,
     weights: VitalWeights,

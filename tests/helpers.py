@@ -1,7 +1,11 @@
 """Shared oracles for the test suite: finite differences, error metrics,
-box translation and scaling, and grid-table lookup."""
+box translation and scaling, grid-table lookup, and the check that no
+child process is left."""
+
+import os
 
 import numpy as np
+import pytest
 
 from gridlander.env import LanderState
 from gridlander.losses import BBox
@@ -48,3 +52,9 @@ def table_state(mdp, idx: int) -> LanderState:
     """The cell ``mdp.states[idx]``. ``idx`` indexes ``states``, ground layer
     included, not the rows of the transition arrays."""
     return LanderState(*map(float, mdp.states[idx]))
+
+
+def assert_no_child_left():
+    """This process has no child, running or ended and not yet reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,6 +3,7 @@ the rule that picks the process count, and the CLI's outputs with the
 fan-out on and off."""
 
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from gridlander import cli, cores
 from gridlander.cli import main
 from gridlander.persistence import FormatError, SampleRecord, write_ppm, write_sample_records
 from gridlander.vital import MultimodalImage
+from helpers import assert_no_child_left
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TWO_CPUS = pytest.mark.skipif(
@@ -27,11 +29,6 @@ BUNDLED_OPENBLAS = pytest.mark.skipif(
     != "scipy-openblas",
     reason="numpy does not bundle scipy-openblas, whose thread count the fan-out reads",
 )
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def frame_and_pid(k):
@@ -100,6 +97,30 @@ def test_in_order_abandoned_by_its_reader_leaves_no_child():
     results = cli._in_order(frame_and_pid, 6, 2)
     assert next(results) == (0, os.getpid())
     results.close()
+    assert_no_child_left()
+
+
+def links_open():
+    """The socket and FIFO descriptors this process holds."""
+    def is_link(fd):
+        try:
+            mode = os.stat(f"/proc/self/fd/{fd}").st_mode
+        except FileNotFoundError:  # the descriptor listdir read the directory through
+            return False
+        return stat.S_ISSOCK(mode) or stat.S_ISFIFO(mode)
+
+    return {fd for fd in map(int, os.listdir("/proc/self/fd")) if is_link(fd)}
+
+
+@TWO_CPUS
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/self/fd")
+def test_in_order_child_holds_only_its_own_link():
+    """Each child holds one link of its own, none of the parent's ends of
+    the others' links, so a child whose parent has died finds its link
+    broken at its next result, with or without a death signal."""
+    before = links_open()
+    got = list(cli._in_order(lambda k: len(links_open() - before), 6, 3))
+    assert [got[k] for k in range(6) if k % 3] == [1, 1, 1, 1]
     assert_no_child_left()
 
 

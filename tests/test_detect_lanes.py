@@ -4,6 +4,7 @@ lanes on and off in subprocesses."""
 
 import hashlib
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -199,6 +200,29 @@ def test_lane_child_killed_mid_frame_raises_child_process_error(lanes, monkeypat
     gelu_that(monkeypatch, act)
     with pytest.raises(ChildProcessError, match="^detector lane 1 ended early$"):
         detect(random_image(1), init_weights(CFG, 0), lanes)
+    assert_no_child_left()
+
+
+@FORKS
+def test_lane_child_ending_with_lane_0s_byte_unread_raises_child_process_error():
+    """Lane 1 writes its barrier byte and ends once lane 0's answer has
+    arrived, unread; lane 0's next barrier reads a reset link, which is a
+    lane that ended early like an end of file is."""
+    passed = []
+
+    def body(lane):
+        if lane.index == 1:
+            (link,) = lane._links
+            os.write(link, b"\0")
+            select.select([link], [], [], 60)
+            os._exit(0)
+        lane.barrier()
+        passed.append(lane.index)
+        lane.barrier()
+
+    with pytest.raises(ChildProcessError, match="^detector lane 1 ended early$"):
+        cores.run(2, 1, {}, body)
+    assert passed == [0]
     assert_no_child_left()
 
 
