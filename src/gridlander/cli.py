@@ -220,7 +220,7 @@ def _in_order(work, n: int, processes: int):
                 if not item[0]:
                     break
 
-    with cores.children(processes, life) as links:
+    with cores.children(processes, life) as (links, _):
         readers = [open(fd, "rb", closefd=False) for fd in links]
         for k in range(n):
             if k % processes == 0:
@@ -419,6 +419,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    finally:
+        cores.release()  # a command's detector lanes end with it
 
 
 def entrypoint() -> None:

@@ -7,13 +7,19 @@ many lanes (``vital.detect``), each frame of a batch taking the share its
 process leaves. Both fork their processes through ``children`` alone.
 
 A *lane* is one process's share of a frame's work. Lane 0 is the calling
-process; lanes 1 to n-1 are children forked for the frame, which exit when
-it ends. The arrays every lane reads (``run``'s layout) live in one
-anonymous shared ``mmap``, and the lanes keep in step through one-byte
-barriers over each child's link: each child writes a byte to lane 0 and
-waits for one back, and lane 0 answers once every child has written. So
-only lane 0 ever waits on a child, and a child that dies shows there as an
-end of file or a reset link.
+process; lanes 1 to n-1 are forked children. The arrays every lane reads
+(``run``'s layout and a copy of the frame's inputs) live in one anonymous
+shared ``mmap``, and the lanes keep in step through one-byte barriers over
+each child's link: each child writes a byte to lane 0 and waits for one
+back, and lane 0 answers once every child has written. So only lane 0 ever
+waits on a child, and a child that dies shows there as an end of file or a
+reset link. A frame starts when lane 0 has copied its inputs in and written
+each child a go byte.
+
+The children of a keyed ``run`` stand between frames: a later frame with
+the same key starts on them, with no fork. They are released (killed and
+reaped) when a frame raises, when a frame with another key or none starts,
+before ``children`` forks anything else, by ``release`` and at exit.
 
 Forked processes, not threads: a child's memory allocator and any spans a
 tracer records in it stay in the child and end with it.
@@ -21,6 +27,7 @@ tracer records in it stay in the child and end with it.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
 import functools
@@ -76,22 +83,54 @@ def _prctl():
 _PR_SET_PDEATHSIG = 1
 
 
+class _Mapping(mmap.mmap):
+    """An anonymous shared mapping that ``shared`` carves arrays out of."""
+
+
+def shared(specs) -> list:
+    """One zeroed array per (shape, dtype) of ``specs``, in order, each
+    64-byte aligned in one anonymous shared mapping. A process forked later
+    reads and writes the same memory, where it would get a private copy of
+    heap memory."""
+    specs = [(shape, np.dtype(dtype)) for shape, dtype in specs]
+    sizes = [int(np.prod(shape)) * dtype.itemsize for shape, dtype in specs]
+    offsets = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
+    pool = np.frombuffer(_Mapping(-1, max(int(offsets[-1]), 1)), np.uint8)
+    return [pool[o:o + n].view(dtype).reshape(shape)
+            for o, n, (shape, dtype) in zip(offsets, sizes, specs)]
+
+
+def mapping(arrays):
+    """The mapping one ``shared`` call carved every one of ``arrays`` out of,
+    or None where some array lies outside it."""
+    pool = arrays[0].base if arrays else None
+    if pool is None or any(a.base is not pool for a in arrays):
+        return None
+    owner = getattr(pool.base, "obj", None)
+    return owner if isinstance(owner, _Mapping) else None
+
+
 @contextlib.contextmanager
 def children(count: int, life: Callable[[int, int], object]):
     """Fork children 1 to ``count - 1``, each linked to this process by one
-    socket pair, and yield this process's ends of their links, child j's at
-    index j - 1. Child j closes every one of those ends it inherited, runs
-    ``life(j, fd)`` with ``fd`` its own end, and then exits, however that
-    ends, without flushing this process's buffers or running its exit
-    handlers. When the block exits, however it exits, this process closes
-    its ends and kills and reaps every child.
+    socket pair, and yield this process's ends of their links and their
+    pids, child j's at index j - 1. Standing lanes (``run``) are released
+    first, so no child inherits them. Child j closes every one of those ends
+    it inherited, runs ``life(j, fd)`` with ``fd`` its own end, releases any
+    lanes of its own, and then exits, however that ends, without flushing
+    this process's buffers or running its exit handlers. When the block
+    exits, however it exits, this process closes its ends and kills and
+    reaps every child; a process forked from it since closes its copies of
+    the ends only.
 
     Forking is safe because the CLI starts no thread; OpenBLAS shuts its own
     pool down around a fork. Where ``prctl`` exists each child is killed
-    when this process ends, so a child's own children (a frame's lanes in a
-    ``detect --batch`` child) end with it, not at their next barrier."""
+    when the thread that forked it ends, so a child's own children (a
+    frame's lanes in a ``detect --batch`` child) end with it, not at their
+    next read."""
     import socket  # here, so that a process that never forks does not load it
 
+    release()
     prctl, parent = _prctl(), os.getpid()
     links, pids = [], []  # child j's link end and pid at index j - 1
     try:
@@ -109,15 +148,19 @@ def children(count: int, life: Callable[[int, int], object]):
                         if os.getppid() == parent:  # else the parent ended before prctl
                             life(j, theirs.fileno())
                     finally:
-                        os._exit(0)
+                        try:
+                            release()
+                        finally:
+                            os._exit(0)
                 pids.append(pid)
-        yield links
+        yield links, pids
     finally:
         for fd in links:
             os.close(fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if os.getpid() == parent:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _await(fd: int, lane: int) -> None:
@@ -127,6 +170,15 @@ def _await(fd: int, lane: int) -> None:
     except ConnectionResetError:  # it ended with a byte of ours unread
         pass
     raise ChildProcessError(f"detector lane {lane} ended early")
+
+
+def _send(links) -> None:
+    """One byte into each of ``links``."""
+    try:
+        for fd in links:
+            os.write(fd, b"\0")
+    except BrokenPipeError:
+        raise ChildProcessError("a detector lane ended early") from None
 
 
 class Lane:
@@ -176,17 +228,13 @@ class _Forked(Lane):
         return flat[:size].reshape(shape)
 
     def barrier(self):
-        try:
-            if self.index == 0:
-                for j, fd in enumerate(self._links, 1):
-                    _await(fd, j)
-                for fd in self._links:
-                    os.write(fd, b"\0")
-            else:
-                os.write(self._links[0], b"\0")
-                _await(self._links[0], 0)
-        except BrokenPipeError:
-            raise ChildProcessError("a detector lane ended early") from None
+        if self.index == 0:
+            for j, fd in enumerate(self._links, 1):
+                _await(fd, j)
+            _send(self._links)
+        else:
+            _send(self._links)
+            _await(self._links[0], 0)
 
     def span(self, lo, hi):
         self._spans[self.index] = lo, hi
@@ -194,30 +242,97 @@ class _Forked(Lane):
         return self._spans[:, 0].min(), self._spans[:, 1].max()
 
 
-def run(count: int, rows: int, layout: dict, body: Callable[[Lane], object]):
-    """``body(lane)`` in ``count`` lanes; lane 0's result.
+class _Standing:
+    """Lanes forked by process ``owner`` for ``key``: lane 0, the shared
+    copies of the inputs, the children's pids, and ``close``, which kills
+    and reaps them."""
 
-    With ``count`` below 2 nothing forks: ``body`` gets ``SERIAL``. Otherwise
-    this process is lane 0 and ``count - 1`` forked children are the others;
-    ``rows`` is the token count they split and ``layout`` maps each shared
-    array's name to its largest (shape, dtype). Every child is killed and
-    reaped before this returns or raises, however it ends; one that ends
-    early raises ``ChildProcessError`` here at the next barrier. ``body``
-    must reach the same barriers in every lane, and a lane must write no
-    shared element that another lane reads before the next barrier."""
-    if count < 2:
-        return body(SERIAL)
-    regions, size = {}, 0
-    for name, (shape, dtype) in {**layout, "spans": ((count, 2), np.float64)}.items():
-        dtype = np.dtype(dtype)
-        regions[name] = (size, int(np.prod(shape)), dtype)
-        size += -(-int(np.prod(shape)) * dtype.itemsize // 64) * 64  # keep each 64-byte aligned
-    shared = mmap.mmap(-1, size)
-    arrays = {name: np.frombuffer(shared, dt, n, offset) for name, (offset, n, dt) in regions.items()}
-    spans = arrays.pop("spans").reshape(count, 2)
+    def __init__(self, key, lane, inputs, pids, close):
+        self.key, self.lane, self.inputs, self.pids, self.close = key, lane, inputs, pids, close
+        self.owner = os.getpid()
+
+
+_standing = None  # this process's standing lanes, or None
+
+
+def release() -> None:
+    """Kill and reap this process's standing lanes, if there are any."""
+    global _standing
+    standing, _standing = _standing, None
+    if standing is not None:
+        standing.close()
+
+
+atexit.register(release)
+
+
+def standing() -> tuple:
+    """The pids of this process's standing lanes."""
+    if _standing is None or _standing.owner != os.getpid():
+        return ()
+    return tuple(_standing.pids)
+
+
+def _stand(count, rows, layout, body, inputs, key) -> None:
+    """Fork lanes 1 to ``count - 1`` of ``body`` and make them this process's
+    standing lanes. Each waits for a go byte, runs a frame, and waits again."""
+    global _standing
+    carved = shared([((int(np.prod(shape)),), dtype) for shape, dtype in layout.values()]
+                    + [((count, 2), np.float64)] + [(a.shape, a.dtype) for a in inputs])
+    arrays, spans, copies = dict(zip(layout, carved)), carved[len(layout)], carved[len(layout) + 1:]
 
     def life(j, fd):
-        body(_Forked(j, count, rows, arrays, spans, [fd]))
+        lane = _Forked(j, count, rows, arrays, spans, [fd])
+        while os.read(fd, 1):  # a go byte: lane 0 has copied the frame's inputs in
+            body(lane, *copies)
 
-    with children(count, life) as links:
-        return body(_Forked(0, count, rows, arrays, spans, links))
+    stack = contextlib.ExitStack()
+    links, pids = stack.enter_context(children(count, life))
+    lane = _Forked(0, count, rows, arrays, spans, links)
+    _standing = _Standing(key, lane, copies, pids, stack.close)
+
+
+def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs=(), key=None):
+    """``body(lane, *inputs)`` in ``count`` lanes; lane 0's result.
+
+    With ``count`` below 2 nothing forks: ``body`` gets ``SERIAL`` and the
+    ``inputs`` themselves. Otherwise this process is lane 0 and ``count - 1``
+    forked children are the others; ``rows`` is the token count they split
+    and ``layout`` maps each shared array's name to its largest (shape,
+    dtype). Every lane gets the same shared copies of ``inputs``, which lane
+    0 fills before it starts the frame.
+
+    Without a ``key`` the children are forked for this frame and killed and
+    reaped before this returns or raises, however it ends. With one they
+    stand: the next frame this process runs with an equal key, lane count,
+    ``rows``, layout and input shapes starts on them without a fork, and
+    they run the ``body`` they were forked with. So the key must differ
+    wherever that body could compute something else. A frame that raises
+    releases them. Where ``prctl`` exists a lane dies with the thread that
+    forked it (``children``), so standing lanes serve that thread.
+
+    A child that ends early raises ``ChildProcessError`` here at the next
+    barrier. ``body`` must reach the same barriers in every lane, and a lane
+    must write no shared element that another lane reads before the next
+    barrier. A lane reads the inputs only before its first barrier. After
+    its last barrier a lane may still be reading when lane 0 starts the next
+    frame, so there it may read only arrays that no lane writes before a
+    frame's first barrier, and not the inputs."""
+    if count < 2:
+        return body(SERIAL, *inputs)
+    if key is not None:
+        key = (os.getpid(), count, rows, layout, [(a.shape, a.dtype) for a in inputs], key)
+    if _standing is None or key is None or _standing.key != key:
+        _stand(count, rows, layout, body, inputs, key)
+    lane, copies = _standing.lane, _standing.inputs
+    try:
+        for copy, a in zip(copies, inputs):
+            copy[...] = a
+        _send(lane._links)  # the frame starts
+        return body(lane, *copies)
+    except BaseException:
+        release()
+        raise
+    finally:
+        if key is None:
+            release()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -215,11 +215,13 @@ def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     """The weight tree for ``config``: biases, shifts and BN means start at 0
     and scales and BN variances at 1. Convolution kernels are fan-in-scaled
     normals and every other matrix a truncated normal (std 0.02), drawn from
-    ``rng`` in tree order, or left uninitialized when ``rng`` is None.
-    Loads the GELU's ``erf`` here (``nncore.load_erf``: scipy's compiled
-    ufunc extension, without the ``scipy.special`` package), so that every
-    process that builds or loads a detector pays that load during its set-up
-    and never inside its first ``detect``.
+    ``rng`` in tree order, or left zero when ``rng`` is None. Every tensor is
+    carved out of one anonymous shared mapping (``cores.shared``), so the
+    standing lanes a ``detect`` forks read the tree's own memory, edits made
+    in place included. Loads the GELU's ``erf`` here (``nncore.load_erf``:
+    scipy's compiled ufunc extension, without the ``scipy.special``
+    package), so that every process that builds or loads a detector pays
+    that load during its set-up and never inside its first ``detect``.
 
     Also pins glibc's heap thresholds once per process
     (``_pin_heap_thresholds``): mmap threshold 32 MiB, trim threshold
@@ -231,20 +233,44 @@ def _assemble(config: VitalConfig, rng: Optional[Rng]) -> VitalWeights:
     detector processes churn, so other commands keep glibc's defaults."""
     load_erf()
     _pin_heap_thresholds()
+    shapes = []  # a first pass lists the shapes, to size the mapping
+
+    def shape_only(shape: tuple, fill) -> np.ndarray:
+        shapes.append(shape)
+        return np.broadcast_to(np.float32(0), shape)
+
+    _build(config, rng, shape_only)
+    carved = iter(cores.shared([(shape, np.float32) for shape in shapes]))
+
+    def tensor(shape: tuple, fill) -> np.ndarray:
+        out = next(carved)
+        if callable(fill):
+            out[...] = fill()
+        elif fill:  # the mapping starts zeroed
+            out.fill(fill)
+        return out
+
+    return _build(config, rng, tensor)
+
+
+def _build(config: VitalConfig, rng: Optional[Rng], tensor) -> VitalWeights:
+    """The weight tree for ``config``, each tensor made in tree order by
+    ``tensor(shape, fill)``: ``fill`` is 0.0, 1.0 or a draw from ``rng`` (a
+    function of no arguments)."""
     d = config.token_dim
 
     def draw(shape: tuple, std: Optional[float] = None) -> np.ndarray:
         if rng is None:
-            return np.empty(shape, dtype=np.float32)
+            return tensor(shape, 0.0)
         if std is None:
-            return rng.truncated_normal(shape, std=0.02).astype(np.float32)
-        return rng.normal(size=shape, std=std).astype(np.float32)
+            return tensor(shape, lambda: rng.truncated_normal(shape, std=0.02))
+        return tensor(shape, lambda: rng.normal(size=shape, std=std))
 
     def zeros(n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.float32)
+        return tensor((n,), 0.0)
 
     def ones(n: int) -> np.ndarray:
-        return np.ones(n, dtype=np.float32)
+        return tensor((n,), 1.0)
 
     def conv(c_out: int, c_in: int, k: int) -> ConvParams:
         return ConvParams(draw((c_out, c_in, k, k), np.sqrt(2.0 / (c_in * k * k))), zeros(c_out))
@@ -433,37 +459,66 @@ def encoder_forward(
     return out
 
 
-def run_lanes(lanes: int, cfg: VitalConfig, body):
-    """``body(lane)`` in ``lanes`` processes, at most one per attention head
-    (``cores.run``); lane 0's result. The lanes share the stem outputs and
-    the encoder's residual stream, Q, K, V and attention context."""
+def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), key=None):
+    """``body(lane, *inputs)`` in ``lanes`` processes, at most one per
+    attention head (``cores.run``, which also defines ``key``); lane 0's
+    result. The lanes share the stem outputs and the encoder's residual
+    stream, Q, K, V and attention context."""
     t, d = cfg.token_count, cfg.token_dim
     layout = {
         "stems": (_stems_shape(cfg), np.float32),
         **{name: ((t, d), np.float64) for name in ("x", "q", "k", "v", "ctx")},
     }
-    return cores.run(min(lanes, cfg.heads), t, layout, body)
+    return cores.run(min(lanes, cfg.heads), t, layout, body, inputs, key)
 
 
 def _stems_shape(cfg: VitalConfig) -> tuple:
     return (len(MODALITIES), cfg.embed_dim, cfg.patch_side, cfg.patch_side)
 
 
-def _frame(img: MultimodalImage, weights: VitalWeights, lane) -> np.ndarray:
-    """The float32 class-token row of the encoder's output for ``img``, as
-    ``lane`` of its lanes: each lane computes its stems ``lane.part(3)``, then
-    every lane checks all three and assembles the tokens, so every lane
-    raises the same first fault, in one lane's order."""
+def _frame(planes: np.ndarray, weights: VitalWeights, lane) -> np.ndarray:
+    """The float32 class-token row of the encoder's output for the image
+    ``planes``, as ``lane`` of its lanes: each lane computes its stems
+    ``lane.part(3)``, then every lane checks all three and assembles the
+    tokens, so every lane raises the same first fault, in one lane's order."""
     cfg = weights.config
     stems = lane.array("stems", _stems_shape(cfg), np.float32)
     for i in range(len(MODALITIES))[lane.part(len(MODALITIES))]:
-        stems[i] = stem_forward(weights.stems[MODALITIES[i]], img.planes[i][None, :, :], cfg)
+        stems[i] = stem_forward(weights.stems[MODALITIES[i]], planes[i][None, :, :], cfg)
     lane.barrier()  # every stem is in place
     for m, s in zip(MODALITIES, stems):
         _check_finite(f"stem[{m}]", s)
     tokens = _check_finite("token assembly", assemble_tokens(*stems, weights))
     # the heads read only the class-token row of the encoder's output
     return encoder_forward(tokens, weights, class_only=True, lane=lane)
+
+
+def _tensors(node) -> list:
+    """Every array of the weight tree under ``node``, in field order."""
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, dict):
+        node = list(node.values())
+    elif is_dataclass(node):
+        node = [getattr(node, f.name) for f in fields(node)]
+    elif not isinstance(node, list):
+        return []
+    return [t for item in node for t in _tensors(item)]
+
+
+def _lane_key(weights: VitalWeights):
+    """What lanes forked to detect with ``weights`` must find unchanged to
+    stand for the next frame (``cores.run``'s key): the mapping that holds
+    every tensor, the config, and each tensor's address, shape, strides and
+    dtype. An edit in place changes none of them, and the lanes read it in
+    the mapping; rebinding a field changes them. None, so that the lanes
+    end with the frame, where some tensor lies outside the one mapping
+    ``_assemble`` carved, since a lane would hold a private copy of it."""
+    tensors = _tensors(weights)
+    shared = cores.mapping(tensors)
+    if shared is None:
+        return None
+    return shared, weights.config, [tuple(t.__array_interface__.values()) for t in tensors]
 
 
 def _head_forward(head: HeadWeights, cls_row: np.ndarray) -> np.ndarray:
@@ -493,18 +548,24 @@ def _check_finite(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def detect(img: MultimodalImage, weights: VitalWeights, lanes: Optional[int] = None) -> Detection:
-    """Full forward pass to a Detection; pure in (image, weights).
+    """Full forward pass to a Detection; pure in (image, weights), edits made
+    to ``weights`` in place or by rebinding a field included.
 
     The frame runs in ``lanes`` processes, by default ``cores.cpu_share()``,
     at most one per attention head: with two, lane 1 computes the lidar stem
     while this process computes the other two, and each encoder layer splits
-    its rows and heads between them (``encoder_forward``). The Detection is
-    the same bytes for every lane count. Floating-point warnings are off;
-    the ``_check_finite`` guards raise a NumericFault instead."""
+    its rows and heads between them (``encoder_forward``). The lanes stand
+    for the next frame with the same tree and lane count (``_lane_key``);
+    they read the tree in the shared mapping ``_assemble`` carved it out of,
+    so they see every edit made there in place. A tree with a tensor outside
+    that mapping forks its lanes for each frame. The Detection is the same
+    bytes for every lane count. Floating-point warnings are off; the
+    ``_check_finite`` guards raise a NumericFault instead."""
     cfg = weights.config
+    lanes = cores.cpu_share() if lanes is None else lanes
     with np.errstate(all="ignore"):
-        cls_row = run_lanes(cores.cpu_share() if lanes is None else lanes, cfg,
-                            lambda lane: _frame(img, weights, lane))
+        cls_row = run_lanes(lanes, cfg, lambda lane, planes: _frame(planes, weights, lane),
+                            (img.planes,), _lane_key(weights) if lanes > 1 else None)
         cls_row = _check_finite("encoder", cls_row)
         obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))
         box_logit = _check_finite("box head", _head_forward(weights.head_box, cls_row))

@@ -1,6 +1,6 @@
 """One frame split across forked lanes: the detector's outputs, faults and
-children with ``lanes`` forced to 1, 2 and 3 in process, and the CLI with
-lanes on and off in subprocesses."""
+children with ``lanes`` forced to 1 to 6 in process, the lanes that stand
+between frames, and the CLI with lanes on and off in subprocesses."""
 
 import hashlib
 import os
@@ -36,6 +36,7 @@ from test_detect_fan_out import (
     SRC,
     TWO_CPUS,
     assert_no_child_left,
+    links_open,
     make_batch,
     run_detect,
 )
@@ -312,17 +313,173 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
 @FORKS
 @BUNDLED_OPENBLAS
 def test_steady_state_lane_frames_fault_only_the_pages_lane_0_writes():
-    """Each frame's fork costs lane 0 one fault per page it writes: its heap
-    pages, copied, and its first touch of the frame's fresh shared arrays,
-    about 3.3k a frame in all. One lane takes almost none, since the heap
-    stays pinned; ``test_steady_state_frames_take_no_page_faults``
-    (tests/test_vital.py) runs the default lane count, so it fails where
-    one BLAS thread leaves a second CPU for a lane."""
+    """Lane 0 faults on next to no page a frame, as one lane does: the lanes
+    stand between frames, so no frame forks, maps a fresh shared region or
+    copies a heap page lane 0 writes, and the heap stays pinned."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-c", STEADY_STATE_LANE_FAULTS], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert float(result.stdout) < 4096
+    assert float(result.stdout) < 100
+
+
+# --- standing lanes -------------------------------------------------------------------
+
+
+def one_lane(img, w):
+    return detection_bytes(detect(img, w, 1))
+
+
+@FORKS
+def test_in_place_edits_reach_the_standing_lanes():
+    """The lanes that stood for the first frame compute the second with the
+    weights as edited in place between the two."""
+    w, img = init_weights(CFG, 0), random_image(3)
+    before = detection_bytes(detect(img, w, 2))
+    stood = cores.standing()
+    assert len(stood) == 1
+    for layer in w.encoder:
+        layer.attention.wq *= 4.0
+    got = detection_bytes(detect(img, w, 2))
+    assert cores.standing() == stood  # no fork
+    assert got == one_lane(img, w) != before
+    assert_no_child_left()
+
+
+@FORKS
+def test_in_place_nan_reaches_the_standing_lanes():
+    """A NaN written into the lidar stem, which lane 1 computes, raises one
+    lane's fault; the fault releases the lanes."""
+    w, img = init_weights(CFG, 0), random_image(4)
+    detect(img, w, 2)
+    w.stems["lidar"].blocks[0].conv1.kernels[0, 0, 0, 0] = np.nan
+    faults = []
+    for lanes in (2, 1):
+        with pytest.raises(NumericFault) as fault:
+            detect(img, w, lanes)
+        faults.append(str(fault.value))
+        assert cores.standing() == ()
+    assert faults == ["non-finite values after stem[lidar]"] * 2
+    assert_no_child_left()
+
+
+@FORKS
+def test_rebound_tensor_fields_are_seen():
+    """A field rebound to another tensor of the tree's mapping forks lanes
+    that stand for the tree as it is now; one rebound to an array outside
+    the mapping forks lanes for the frame alone, which end with it."""
+    w, img = init_weights(CFG, 0), random_image(5)
+    before = detection_bytes(detect(img, w, 2))
+    stood = cores.standing()
+    w.encoder[0].attention.wq = w.encoder[1].attention.wq
+    inside = detection_bytes(detect(img, w, 2))
+    assert inside == one_lane(img, w) != before
+    assert cores.standing() not in ((), stood)
+    assert not running(stood[0])
+    w.encoder[0].attention.wq = w.encoder[0].attention.wq * 4.0
+    outside = detection_bytes(detect(img, w, 2))
+    assert outside == one_lane(img, w) != inside
+    assert cores.standing() == ()
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_new_tree_or_lane_count_reforks():
+    """Equal frames with the same tree and lane count run on the same lanes;
+    a new tree, even an equal one, or a new lane count releases them and
+    forks its own."""
+    img = random_image(6)
+    w, same = init_weights(CFG, 0), init_weights(CFG, 0)
+    want = one_lane(img, w)
+    runs = []
+    for tree, lanes in ((w, 2), (w, 2), (same, 2), (same, 3), (same, 3)):
+        assert detection_bytes(detect(img, tree, lanes)) == want
+        runs.append(cores.standing())
+    assert [len(pids) for pids in runs] == [1, 1, 1, 2, 2]
+    assert runs[0] == runs[1] and runs[3] == runs[4]
+    assert not set(runs[1]) & set(runs[2]) and not set(runs[2]) & set(runs[3])
+    assert not any(running(pid) for pid in runs[0] + runs[2])
+    assert_no_child_left()
+
+
+@FORKS
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/self/fd")
+def test_batch_frame_child_holds_none_of_its_parents_standing_links(tmp_path, monkeypatch):
+    """This process's standing lanes are released before ``detect --batch``
+    forks. So a frame child, which runs two lanes of its own on a share of
+    four, holds two links (its own to this process and its lane's) and none
+    to the lanes this process stood, to which it could write."""
+    before = links_open()
+    detect(random_image(1), init_weights(CFG, 0), 2)
+    stood = cores.standing()
+    assert len(stood) == 1 and len(links_open() - before) == 1
+    monkeypatch.setattr(cores, "cpu_share", lambda: 4)
+    batch = make_batch(tmp_path / "batch", 2)
+    parent, record, gelu = os.getpid(), tmp_path / "links", vital.gelu
+
+    def patched(x):
+        if os.getppid() == parent and not record.exists():  # the frame child, as lane 0
+            (tmp_path / "count").write_text(str(len(links_open() - before)))
+            os.replace(tmp_path / "count", record)
+        return gelu(x)
+
+    monkeypatch.setattr(vital, "gelu", patched)
+    assert main(["detect", "--batch", str(batch)]) == 0
+    assert int(record.read_text()) == 2
+    assert not running(stood[0])
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_command_releases_its_lanes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cores, "cpu_share", lambda: 2)
+    write_ppm(tmp_path / "f.ppm", random_image(8))
+    assert main(["detect", "--image", str(tmp_path / "f.ppm")]) == 0
+    assert cores.standing() == ()
+    assert_no_child_left()
+
+
+LANES_THEN_END = """
+import atexit, os, signal, sys
+
+def no_child_left():  # registered first, so it runs after cores.release
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", flush=True)
+
+atexit.register(no_child_left)
+import numpy as np
+from gridlander import cores
+from gridlander.vital import MultimodalImage, VitalConfig, detect, init_weights
+detect(MultimodalImage(np.zeros((3, 160, 160), np.float32)), init_weights(VitalConfig(), 0), 2)
+print(*cores.standing(), flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@FORKS
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_standing_lanes_end_with_their_process(end):
+    """A process that exits releases its lanes before it ends; one that is
+    killed takes them with it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", LANES_THEN_END, end], env=env,
+                            capture_output=True, text=True, timeout=300)
+    lines = result.stdout.splitlines()
+    pids = [int(pid) for pid in lines[0].split()]
+    assert len(pids) == 1
+    if end == "exit":
+        assert result.returncode == 0, result.stderr
+        assert lines[1:] == ["no child left"]
+    else:
+        assert result.returncode == -signal.SIGKILL and lines[1:] == []
+    deadline = time.monotonic() + 10
+    while running(pids[0]) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running(pids[0])
 
 
 # --- the CLI with lanes on and off ----------------------------------------------------
