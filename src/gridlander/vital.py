@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -345,13 +345,23 @@ def empty_weights(config: VitalConfig) -> VitalWeights:
     return _assemble(config, None)
 
 
-def stem_forward(stem: StemWeights, plane: np.ndarray, config: VitalConfig) -> np.ndarray:
-    """One modality plane (1, 160, 160) -> (embed_dim, 20, 20)."""
-    plane = np.asarray(plane, dtype=np.float32)
-    if plane.shape != (1, config.image_size, config.image_size):
-        raise ContractViolation(f"stem expects (1,{config.image_size},{config.image_size})")
-    x = plane
-    for block in stem.blocks:
+def _block_input(config: VitalConfig, k: int) -> tuple:
+    """The shape stem block ``k`` reads: the plane for block 0, else block
+    k - 1's pooled output."""
+    side = config.image_size >> k
+    return (config.stem_channels[k - 1] if k else 1, side, side)
+
+
+def stem_forward(stem: StemWeights, x: np.ndarray, config: VitalConfig, start: int = 0,
+                 stop: Optional[int] = None) -> np.ndarray:
+    """Blocks ``start`` to ``stop - 1`` of one modality's stem on their input
+    ``x``, then the final conv where ``stop`` is None. By default the whole
+    stem: a plane (1, 160, 160) -> (embed_dim, 20, 20). A stem run as two
+    ranges split at a block boundary gives the whole stem's bytes."""
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape != _block_input(config, start):
+        raise ContractViolation(f"stem block {start} expects {_block_input(config, start)}")
+    for block in stem.blocks[start:stop]:
         y = conv2d_forward(x, block.conv1.kernels, block.conv1.bias, padding=1)
         y = batchnorm_inference(y, block.bn1.mean, block.bn1.var, block.bn1.gamma, block.bn1.beta)
         np.maximum(y, 0.0, out=y)
@@ -360,6 +370,8 @@ def stem_forward(stem: StemWeights, plane: np.ndarray, config: VitalConfig) -> n
         y += conv2d_forward(x, block.residual.kernels, block.residual.bias, padding=0)
         np.maximum(y, 0.0, out=y)
         x = maxpool2_forward(y)
+    if stop is not None:
+        return x
     out = conv2d_forward(x, stem.final_conv.kernels, stem.final_conv.bias, padding=1)
     expected = (config.embed_dim, config.patch_side, config.patch_side)
     if out.shape != expected:
@@ -462,11 +474,13 @@ def encoder_forward(
 def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), key=None):
     """``body(lane, *inputs)`` in ``lanes`` processes, at most one per
     attention head (``cores.run``, which also defines ``key``); lane 0's
-    result. The lanes share the stem outputs and the encoder's residual
-    stream, Q, K, V and attention context."""
+    result. The lanes share the stem outputs, the stem block output a
+    two-lane frame hands from lane 0 to lane 1 (``_TWO_LANE_STEMS``), and
+    the encoder's residual stream, Q, K, V and attention context."""
     t, d = cfg.token_count, cfg.token_dim
     layout = {
         "stems": (_stems_shape(cfg), np.float32),
+        "handover": (_block_input(cfg, 1), np.float32),
         **{name: ((t, d), np.float64) for name in ("x", "q", "k", "v", "ctx")},
     }
     return cores.run(min(lanes, cfg.heads), t, layout, body, inputs, key)
@@ -476,15 +490,60 @@ def _stems_shape(cfg: VitalConfig) -> tuple:
     return (len(MODALITIES), cfg.embed_dim, cfg.patch_side, cfg.patch_side)
 
 
+# A two-lane frame's stem phase, in rounds with a barrier after each: per
+# round, the pieces lane 0 and lane 1 run, in order. A piece (modality,
+# start, stop) runs that stem's blocks start to stop - 1, then its final
+# conv where stop is None (``stem_forward``). A piece that stops early leaves
+# its output to the piece that goes on from it: in lane memory when that
+# piece runs in the same lane, else in the shared "handover" array. Whole
+# stems split by ``lane.part(3)`` would leave lane 1 one stem to lane 0's two.
+# Here each lane runs a block 0 in the first round; in the second, lane 0 runs
+# a whole stem and lane 1 two stems' later blocks and final convs, about one
+# block longer.
+_TWO_LANE_STEMS = (
+    ((("thermal", 0, 1),), (("lidar", 0, 1),)),
+    ((("visual", 0, None),), (("lidar", 1, None), ("thermal", 1, None))),
+)
+
+
+def _stem_rounds(lane) -> list:
+    """This lane's stem pieces in each round of a frame's stem phase: the
+    two rounds of ``_TWO_LANE_STEMS`` with two lanes, else one round of whole
+    stems, ``lane.part(3)`` of them."""
+    if lane.count == 2:
+        return [pieces[lane.index] for pieces in _TWO_LANE_STEMS]
+    return [[(m, 0, None) for m in MODALITIES[lane.part(len(MODALITIES))]]]
+
+
 def _frame(planes: np.ndarray, weights: VitalWeights, lane) -> np.ndarray:
     """The float32 class-token row of the encoder's output for the image
-    ``planes``, as ``lane`` of its lanes: each lane computes its stems
-    ``lane.part(3)``, then every lane checks all three and assembles the
-    tokens, so every lane raises the same first fault, in one lane's order."""
+    ``planes``, as ``lane`` of its lanes: each lane computes its stem pieces
+    round by round (``_stem_rounds``), then every lane checks all three
+    stems and assembles the tokens, so every lane raises the same first
+    fault, in one lane's order."""
     cfg = weights.config
     stems = lane.array("stems", _stems_shape(cfg), np.float32)
-    for i in range(len(MODALITIES))[lane.part(len(MODALITIES))]:
-        stems[i] = stem_forward(weights.stems[MODALITIES[i]], planes[i][None, :, :], cfg)
+    rounds = _stem_rounds(lane)
+    mine = {(m, start) for pieces in rounds for m, start, _ in pieces}
+    held = {}  # modality -> its output so far, where this lane goes on with it
+    for r, pieces in enumerate(rounds):
+        if r:
+            lane.barrier()  # every hand-over is in place
+        for m, start, stop in pieces:
+            i = MODALITIES.index(m)
+            if start == 0:
+                x = planes[i][None, :, :]
+            elif m in held:
+                x = held.pop(m)
+            else:
+                x = lane.array("handover", _block_input(cfg, start), np.float32)
+            out = stem_forward(weights.stems[m], x, cfg, start, stop)
+            if stop is None:
+                stems[i] = out
+            elif (m, stop) in mine:
+                held[m] = out
+            else:
+                lane.array("handover", out.shape, np.float32)[...] = out
     lane.barrier()  # every stem is in place
     for m, s in zip(MODALITIES, stems):
         _check_finite(f"stem[{m}]", s)
@@ -498,9 +557,9 @@ def _tensors(node) -> list:
     if isinstance(node, np.ndarray):
         return [node]
     if isinstance(node, dict):
-        node = list(node.values())
+        node = node.values()
     elif is_dataclass(node):
-        node = [getattr(node, f.name) for f in fields(node)]
+        node = vars(node).values()
     elif not isinstance(node, list):
         return []
     return [t for item in node for t in _tensors(item)]
@@ -509,16 +568,21 @@ def _tensors(node) -> list:
 def _lane_key(weights: VitalWeights):
     """What lanes forked to detect with ``weights`` must find unchanged to
     stand for the next frame (``cores.run``'s key): the mapping that holds
-    every tensor, the config, and each tensor's address, shape, strides and
-    dtype. An edit in place changes none of them, and the lanes read it in
-    the mapping; rebinding a field changes them. None, so that the lanes
-    end with the frame, where some tensor lies outside the one mapping
-    ``_assemble`` carved, since a lane would hold a private copy of it."""
+    every tensor, the config, and each tensor's id, shape, strides and
+    dtype. An edit in place changes none of them (an array's memory cannot
+    be rebound), and the lanes read it in the mapping; rebinding a field
+    changes an id. The key also holds the tensors, so that no id is reused
+    while it stands; they come last, so a comparison reaches them only once
+    every id matched, and then compares each tensor with itself, by
+    identity. None, so that the lanes end with the frame, where some tensor
+    lies outside the one mapping ``_assemble`` carved, since a lane would
+    hold a private copy of it."""
     tensors = _tensors(weights)
     shared = cores.mapping(tensors)
     if shared is None:
         return None
-    return shared, weights.config, [tuple(t.__array_interface__.values()) for t in tensors]
+    return (shared, weights.config, [(id(t), t.shape, t.strides, t.dtype) for t in tensors],
+            tensors)
 
 
 def _head_forward(head: HeadWeights, cls_row: np.ndarray) -> np.ndarray:
@@ -552,13 +616,14 @@ def detect(img: MultimodalImage, weights: VitalWeights, lanes: Optional[int] = N
     to ``weights`` in place or by rebinding a field included.
 
     The frame runs in ``lanes`` processes, by default ``cores.cpu_share()``,
-    at most one per attention head: with two, lane 1 computes the lidar stem
-    while this process computes the other two, and each encoder layer splits
-    its rows and heads between them (``encoder_forward``). The lanes stand
-    for the next frame with the same tree and lane count (``_lane_key``);
-    they read the tree in the shared mapping ``_assemble`` carved it out of,
-    so they see every edit made there in place. A tree with a tensor outside
-    that mapping forks its lanes for each frame. The Detection is the same
+    at most one per attention head: with two, this process computes the
+    visual stem and thermal's first block while lane 1 computes the lidar
+    stem and thermal's later blocks (``_TWO_LANE_STEMS``), and each encoder
+    layer splits its rows and heads between them (``encoder_forward``). The
+    lanes stand for the next frame with the same tree and lane count
+    (``_lane_key``); they read the tree in the shared mapping ``_assemble``
+    carved it out of, so they see every edit made there in place. A tree
+    with a tensor outside that mapping forks its lanes for each frame. The Detection is the same
     bytes for every lane count. Floating-point warnings are off; the
     ``_check_finite`` guards raise a NumericFault instead."""
     cfg = weights.config

@@ -31,15 +31,8 @@ from gridlander.vital import (
     run_lanes,
     stem_forward,
 )
-from test_detect_fan_out import (
-    BUNDLED_OPENBLAS,
-    SRC,
-    TWO_CPUS,
-    assert_no_child_left,
-    links_open,
-    make_batch,
-    run_detect,
-)
+from helpers import assert_no_child_left
+from test_detect_fan_out import BUNDLED_OPENBLAS, SRC, TWO_CPUS, links_open, make_batch, run_detect
 from test_vital import GOLDEN, detection_bytes, golden_frames, random_image
 
 CFG = VitalConfig()
@@ -66,6 +59,48 @@ def test_lane_parts_tile_the_items_in_order(n, count):
     assert [i for p in parts for i in range(n)[p]] == list(range(n))
     sizes = [len(range(n)[p]) for p in parts]
     assert sizes == sorted(sizes, reverse=True) and max(sizes) - min(sizes) <= 1
+
+
+# --- the stem split -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_a_stem_run_in_two_ranges_gives_the_whole_stems_bytes(modality):
+    w = init_weights(CFG, seed=0)
+    plane = random_image(10).planes[MODALITIES.index(modality)][None]
+    whole = stem_forward(w.stems[modality], plane, CFG).tobytes()
+    for split in range(len(CFG.stem_channels) + 1):
+        head = stem_forward(w.stems[modality], plane, CFG, 0, split)
+        assert stem_forward(w.stems[modality], head, CFG, split).tobytes() == whole
+
+
+@FORKS
+@pytest.mark.parametrize("lanes, ran", [
+    (2, {0: [("thermal", 0, 1), ("visual", 0, None)],
+         1: [("lidar", 0, 1), ("lidar", 1, None), ("thermal", 1, None)]}),
+    (3, {0: [("visual", 0, None)], 1: [("thermal", 0, None)], 2: [("lidar", 0, None)]}),
+])
+def test_each_lane_runs_its_stem_pieces(lanes, ran, tmp_path, monkeypatch):
+    """A stub that records each ``stem_forward`` call shows which lane (known
+    by its pid) ran which blocks of which stem, in order."""
+    w, img, record, forward = init_weights(CFG, 0), random_image(11), tmp_path / "calls", vital.stem_forward
+    want = detection_bytes(detect(img, w, 1))
+
+    def recording(stem, x, cfg, start=0, stop=None):
+        modality = next(m for m in MODALITIES if w.stems[m] is stem)
+        with open(record, "a") as f:
+            f.write(f"{os.getpid()} {modality} {start} {stop}\n")
+        return forward(stem, x, cfg, start, stop)
+
+    monkeypatch.setattr(vital, "stem_forward", recording)
+    assert detection_bytes(detect(img, w, lanes)) == want
+    pids = (os.getpid(), *cores.standing())
+    got = {j: [] for j in range(lanes)}
+    for line in record.read_text().splitlines():
+        pid, modality, start, stop = line.split()
+        got[pids.index(int(pid))].append((modality, int(start), None if stop == "None" else int(stop)))
+    assert got == ran
+    assert_no_child_left()
 
 
 # --- outputs --------------------------------------------------------------------------
@@ -146,13 +181,27 @@ def test_only_the_second_lanes_heads_need_the_shift():
 
 @FORKS
 @LANES
-@pytest.mark.parametrize("broken, fault", [(("lidar",), "lidar"), (("visual", "lidar"), "visual")])
+@pytest.mark.parametrize("broken, fault", [
+    (("lidar",), "lidar"), (("visual", "lidar"), "visual"), (("thermal", "lidar"), "thermal"),
+])
 def test_non_finite_stem_raises_one_lanes_first_fault(lanes, broken, fault):
     w = init_weights(CFG, 34)
     for m in broken:
         w.stems[m].blocks[0].conv1.kernels[0, 0, 0, 0] = np.nan
     with pytest.raises(NumericFault, match=rf"^non-finite values after stem\[{fault}\]$"):
         detect(random_image(35), w, lanes)
+    assert_no_child_left()
+
+
+@FORKS
+@LANES
+def test_non_finite_thermal_block_1_raises_after_the_hand_over(lanes):
+    """With two lanes, lane 1 runs thermal's block 1 on what lane 0 handed
+    over; a NaN there raises thermal's fault at every lane count."""
+    w = init_weights(CFG, 36)
+    w.stems["thermal"].blocks[1].conv1.kernels[0, 0, 0, 0] = np.nan
+    with pytest.raises(NumericFault, match=r"^non-finite values after stem\[thermal\]$"):
+        detect(random_image(37), w, lanes)
     assert_no_child_left()
 
 
@@ -380,6 +429,47 @@ def test_rebound_tensor_fields_are_seen():
     outside = detection_bytes(detect(img, w, 2))
     assert outside == one_lane(img, w) != inside
     assert cores.standing() == ()
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_field_rebound_once_its_old_tensor_could_be_freed_is_seen():
+    """The old tensor object is dropped before a new view of other memory is
+    made, so the new view could take its id; the standing lanes' key holds
+    the old object, so that it cannot."""
+    w, img = init_weights(CFG, 0), random_image(12)
+    detect(img, w, 2)
+    attention = w.encoder[0].attention
+    attention.wq = None
+    attention.wq = w.encoder[1].attention.wq[:]
+    assert detection_bytes(detect(img, w, 2)) == one_lane(img, w)
+    assert_no_child_left()
+
+
+def read_byte_swapped(w):
+    w.encoder[0].ln_ffn.gamma.dtype = ">f4"  # the same bytes: 1.0 now reads 4.6e-41
+
+
+def transpose_in_place(w):
+    wq = w.encoder[1].attention.wq
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # numpy 2.4 deprecates it
+        wq.strides = wq.strides[::-1]
+
+
+@FORKS
+@pytest.mark.parametrize("change", [read_byte_swapped, transpose_in_place])
+def test_a_tensors_dtype_or_strides_set_in_place_are_seen(change):
+    """The same tensor object with another dtype or strides forks lanes that
+    read it as it is now; the lanes that stood hold their own copy of the
+    object, which still reads the old way."""
+    w, img = init_weights(CFG, 0), random_image(9)
+    before = detection_bytes(detect(img, w, 2))
+    stood = cores.standing()
+    change(w)
+    got = detection_bytes(detect(img, w, 2))
+    assert got == one_lane(img, w) != before
+    assert cores.standing() not in ((), stood)
     assert_no_child_left()
 
 
