@@ -16,10 +16,12 @@ waits on a child, and a child that dies shows there as an end of file or a
 reset link. A frame starts when lane 0 has copied its inputs in and written
 each child a go byte.
 
-The children of a keyed ``run`` stand between frames: a later frame with
-the same key starts on them, with no fork. They are released (killed and
-reaped) when a frame raises, when a frame with another key or none starts,
-before ``children`` forks anything else, by ``release`` and at exit.
+The children of a ``run`` stand between frames: a later frame with the
+same key starts on them, with no fork. They are released (killed and
+reaped) when a frame raises, when a frame with another key starts, before
+``children`` forks anything else, by ``release`` and at exit. No lane is
+forked for one frame alone: ``vital.detect`` runs a weight tree outside
+its shared mapping in one lane.
 
 Forked processes, not threads: a child's memory allocator and any spans a
 tracer records in it stay in the child and end with it.
@@ -267,7 +269,7 @@ atexit.register(release)
 
 
 def standing() -> tuple:
-    """The pids of this process's standing lanes."""
+    """The pids of this process's standing lanes, not its parent's."""
     if _standing is None or _standing.owner != os.getpid():
         return ()
     return tuple(_standing.pids)
@@ -292,24 +294,23 @@ def _stand(count, rows, layout, body, inputs, key) -> None:
     _standing = _Standing(key, lane, copies, pids, stack.close)
 
 
-def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs=(), key=None):
+def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs=(), *, key):
     """``body(lane, *inputs)`` in ``count`` lanes; lane 0's result.
 
     With ``count`` below 2 nothing forks: ``body`` gets ``SERIAL`` and the
-    ``inputs`` themselves. Otherwise this process is lane 0 and ``count - 1``
-    forked children are the others; ``rows`` is the token count they split
-    and ``layout`` maps each shared array's name to its largest (shape,
-    dtype). Every lane gets the same shared copies of ``inputs``, which lane
-    0 fills before it starts the frame.
+    ``inputs`` themselves, and standing lanes stand on. Otherwise this
+    process is lane 0 and ``count - 1`` forked children are the others;
+    ``rows`` is the token count they split and ``layout`` maps each shared
+    array's name to its largest (shape, dtype). Every lane gets the same
+    shared copies of ``inputs``, which lane 0 fills before it starts the
+    frame.
 
-    Without a ``key`` the children are forked for this frame and killed and
-    reaped before this returns or raises, however it ends. With one they
-    stand: the next frame this process runs with an equal key, lane count,
-    ``rows``, layout and input shapes starts on them without a fork, and
-    they run the ``body`` they were forked with. So the key must differ
-    wherever that body could compute something else. A frame that raises
-    releases them. Where ``prctl`` exists a lane dies with the thread that
-    forked it (``children``), so standing lanes serve that thread.
+    The children stand: the next frame this process runs with an equal
+    ``key``, lane count, ``rows``, layout and input shapes starts on them
+    without a fork, and they run the ``body`` they were forked with. So the
+    key must differ wherever that body could compute something else. Where
+    ``prctl`` exists a lane dies with the thread that forked it
+    (``children``), so standing lanes serve that thread.
 
     A child that ends early raises ``ChildProcessError`` here at the next
     barrier. ``body`` must reach the same barriers in every lane, and a lane
@@ -320,9 +321,8 @@ def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs
     frame's first barrier, and not the inputs."""
     if count < 2:
         return body(SERIAL, *inputs)
-    if key is not None:
-        key = (os.getpid(), count, rows, layout, [(a.shape, a.dtype) for a in inputs], key)
-    if _standing is None or key is None or _standing.key != key:
+    key = (count, rows, layout, [(a.shape, a.dtype) for a in inputs], key)
+    if not standing() or _standing.key != key:
         _stand(count, rows, layout, body, inputs, key)
     lane, copies = _standing.lane, _standing.inputs
     try:
@@ -333,6 +333,3 @@ def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs
     except BaseException:
         release()
         raise
-    finally:
-        if key is None:
-            release()

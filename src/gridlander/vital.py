@@ -471,10 +471,9 @@ def encoder_forward(
     return out
 
 
-def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), key=None):
-    """``body(lane, *inputs)`` in ``lanes`` processes, at most one per
-    attention head (``cores.run``, which also defines ``key``); lane 0's
-    result. The lanes share the stem outputs, the stem block output a
+def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), *, key):
+    """``cores.run`` in at most one lane per attention head, over the
+    detector's shared layout: the stem outputs, the stem block output a
     two-lane frame hands from lane 0 to lane 1 (``_TWO_LANE_STEMS``), and
     the encoder's residual stream, Q, K, V and attention context."""
     t, d = cfg.token_count, cfg.token_dim
@@ -483,7 +482,7 @@ def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), key=None):
         "handover": (_block_input(cfg, 1), np.float32),
         **{name: ((t, d), np.float64) for name in ("x", "q", "k", "v", "ctx")},
     }
-    return cores.run(min(lanes, cfg.heads), t, layout, body, inputs, key)
+    return cores.run(min(lanes, cfg.heads), t, layout, body, inputs, key=key)
 
 
 def _stems_shape(cfg: VitalConfig) -> tuple:
@@ -574,9 +573,9 @@ def _lane_key(weights: VitalWeights):
     changes an id. The key also holds the tensors, so that no id is reused
     while it stands; they come last, so a comparison reaches them only once
     every id matched, and then compares each tensor with itself, by
-    identity. None, so that the lanes end with the frame, where some tensor
-    lies outside the one mapping ``_assemble`` carved, since a lane would
-    hold a private copy of it."""
+    identity. None where some tensor lies outside the one mapping
+    ``_assemble`` carved, since a lane would hold a private copy of it:
+    ``detect`` then runs the tree in one lane."""
     tensors = _tensors(weights)
     shared = cores.mapping(tensors)
     if shared is None:
@@ -623,14 +622,15 @@ def detect(img: MultimodalImage, weights: VitalWeights, lanes: Optional[int] = N
     lanes stand for the next frame with the same tree and lane count
     (``_lane_key``); they read the tree in the shared mapping ``_assemble``
     carved it out of, so they see every edit made there in place. A tree
-    with a tensor outside that mapping forks its lanes for each frame. The Detection is the same
-    bytes for every lane count. Floating-point warnings are off; the
-    ``_check_finite`` guards raise a NumericFault instead."""
+    with a tensor outside that mapping runs in one lane. The Detection is
+    the same bytes for every lane count. Floating-point warnings are off;
+    the ``_check_finite`` guards raise a NumericFault instead."""
     cfg = weights.config
     lanes = cores.cpu_share() if lanes is None else lanes
+    key = _lane_key(weights) if lanes > 1 else None
     with np.errstate(all="ignore"):
-        cls_row = run_lanes(lanes, cfg, lambda lane, planes: _frame(planes, weights, lane),
-                            (img.planes,), _lane_key(weights) if lanes > 1 else None)
+        cls_row = run_lanes(lanes if key else 1, cfg, lambda lane, x: _frame(x, weights, lane),
+                            (img.planes,), key=key)
         cls_row = _check_finite("encoder", cls_row)
         obj_logit = _check_finite("objectness head", _head_forward(weights.head_objectness, cls_row))
         box_logit = _check_finite("box head", _head_forward(weights.head_box, cls_row))

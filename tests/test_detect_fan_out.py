@@ -3,31 +3,23 @@ the rule that picks the process count, and the CLI's outputs with the
 fan-out on and off."""
 
 import os
-import stat
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gridlander import cli, cores
 from gridlander.cli import main
-from gridlander.persistence import FormatError, SampleRecord, write_ppm, write_sample_records
-from gridlander.vital import MultimodalImage
-from helpers import assert_no_child_left
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-TWO_CPUS = pytest.mark.skipif(
-    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
-    reason="the fan-out needs os.fork and at least 2 CPUs",
-)
-
-
-BUNDLED_OPENBLAS = pytest.mark.skipif(
-    np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
-    != "scipy-openblas",
-    reason="numpy does not bundle scipy-openblas, whose thread count the fan-out reads",
+from gridlander.persistence import FormatError
+from helpers import (
+    BUNDLED_OPENBLAS,
+    SRC,
+    TWO_CPUS,
+    assert_no_child_left,
+    forbid_forks,
+    links_open,
+    make_batch,
+    run_detect,
 )
 
 
@@ -100,18 +92,6 @@ def test_in_order_abandoned_by_its_reader_leaves_no_child():
     assert_no_child_left()
 
 
-def links_open():
-    """The socket and FIFO descriptors this process holds."""
-    def is_link(fd):
-        try:
-            mode = os.stat(f"/proc/self/fd/{fd}").st_mode
-        except FileNotFoundError:  # the descriptor listdir read the directory through
-            return False
-        return stat.S_ISSOCK(mode) or stat.S_ISFIFO(mode)
-
-    return {fd for fd in map(int, os.listdir("/proc/self/fd")) if is_link(fd)}
-
-
 @TWO_CPUS
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/self/fd")
 def test_in_order_child_holds_only_its_own_link():
@@ -159,28 +139,10 @@ def test_blas_thread_count_reads_numpys_openblas():
 # --- the single-frame paths ------------------------------------------------------
 
 
-def make_image(seed):
-    rng = np.random.default_rng(seed)
-    return MultimodalImage(rng.random((3, 160, 160)).astype(np.float32))
-
-
-def make_batch(directory: Path, frames: int) -> Path:
-    directory.mkdir()
-    records = []
-    for i in range(frames):
-        write_ppm(directory / f"img_{i}.ppm", make_image(40 + i))
-        records.append(SampleRecord(f"img_{i}.ppm", 0.25, 0.25, 0.75, 0.75, i % 2))
-    write_sample_records(directory / "labels.csv", records)
-    return directory
-
-
 def test_single_frame_paths_never_fork(tmp_path, monkeypatch, capsys):
     """detect --image and bench run in this process, as does a batch on one
     CPU even where one BLAS thread would let two processes share it."""
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    forbid_forks(monkeypatch)
     monkeypatch.setattr(cores, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     batch = make_batch(tmp_path / "batch", 3)
@@ -200,23 +162,6 @@ def test_single_frame_paths_never_fork(tmp_path, monkeypatch, capsys):
 # turn the fan-out off in process. These subprocess tests pin one BLAS thread
 # and are the only tier-1 coverage of the fork path through the CLI: keep them
 # in subprocesses rather than folding them into the in-process tests above.
-
-PINNED_TO_ONE_CPU = (
-    "import os, sys\n"
-    "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-    "from gridlander.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
-
-
-def run_detect(argv, one_cpu: bool) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    env.pop("GRIDLANDER_CONFIG", None)
-    cmd = ["-c", PINNED_TO_ONE_CPU] if one_cpu else ["-m", "gridlander"]
-    return subprocess.run([sys.executable, *cmd, *argv], env=env, capture_output=True,
-                          timeout=300)
-
 
 @TWO_CPUS
 @BUNDLED_OPENBLAS

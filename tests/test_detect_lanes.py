@@ -20,20 +20,32 @@ from gridlander import cores, vital
 from gridlander.cli import main
 from gridlander.errors import NumericFault
 from gridlander.nncore import _needs_shift, layernorm
-from gridlander.persistence import save_vital_checkpoint, write_ppm
+from gridlander.persistence import load_vital_checkpoint, save_vital_checkpoint, write_ppm
 from gridlander.vital import (
     MODALITIES,
     VitalConfig,
     assemble_tokens,
     detect,
+    empty_weights,
     encoder_forward,
     init_weights,
     run_lanes,
     stem_forward,
 )
-from helpers import assert_no_child_left
-from test_detect_fan_out import BUNDLED_OPENBLAS, SRC, TWO_CPUS, links_open, make_batch, run_detect
-from test_vital import GOLDEN, detection_bytes, golden_frames, random_image
+from helpers import (
+    BUNDLED_OPENBLAS,
+    GOLDEN,
+    SRC,
+    TWO_CPUS,
+    assert_no_child_left,
+    detection_bytes,
+    forbid_forks,
+    golden_frames,
+    links_open,
+    make_batch,
+    random_image,
+    run_detect,
+)
 
 CFG = VitalConfig()
 FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="lanes need os.fork")
@@ -42,7 +54,8 @@ LANES = pytest.mark.parametrize("lanes", [1, 2, 3, 4, 6])
 
 def in_lanes(lanes, tokens, w, class_only):
     return run_lanes(lanes, w.config,
-                     lambda lane: encoder_forward(tokens, w, class_only=class_only, lane=lane))
+                     lambda lane: encoder_forward(tokens, w, class_only=class_only, lane=lane),
+                     key=object())
 
 
 # --- the lane split ------------------------------------------------------------------
@@ -271,7 +284,7 @@ def test_lane_child_ending_with_lane_0s_byte_unread_raises_child_process_error()
         lane.barrier()
 
     with pytest.raises(ChildProcessError, match="^detector lane 1 ended early$"):
-        cores.run(2, 1, {}, body)
+        cores.run(2, 1, {}, body, key=object())
     assert passed == [0]
     assert_no_child_left()
 
@@ -333,10 +346,7 @@ def test_batch_of_fewer_frames_than_the_cpu_share_leaves_no_grandchild(tmp_path,
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (4, 8)])
 def test_nothing_forks_where_blas_threads_fill_the_cpus(cpus, threads, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    forbid_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(cores, "_blas_threads", lambda: threads)
     w = init_weights(CFG, seed=0)
@@ -413,23 +423,50 @@ def test_in_place_nan_reaches_the_standing_lanes():
 
 
 @FORKS
-def test_rebound_tensor_fields_are_seen():
+def test_rebound_tensor_fields_are_seen(monkeypatch):
     """A field rebound to another tensor of the tree's mapping forks lanes
     that stand for the tree as it is now; one rebound to an array outside
-    the mapping forks lanes for the frame alone, which end with it."""
+    the mapping runs in one lane, which forks nothing and leaves the
+    standing lanes as they were."""
     w, img = init_weights(CFG, 0), random_image(5)
     before = detection_bytes(detect(img, w, 2))
     stood = cores.standing()
     w.encoder[0].attention.wq = w.encoder[1].attention.wq
     inside = detection_bytes(detect(img, w, 2))
     assert inside == one_lane(img, w) != before
-    assert cores.standing() not in ((), stood)
+    now = cores.standing()
+    assert now not in ((), stood)
     assert not running(stood[0])
     w.encoder[0].attention.wq = w.encoder[0].attention.wq * 4.0
+    forbid_forks(monkeypatch)
     outside = detection_bytes(detect(img, w, 2))
     assert outside == one_lane(img, w) != inside
+    assert cores.standing() == now and running(now[0])
+    assert_no_child_left()
+
+
+@FORKS
+@pytest.mark.parametrize("lanes", [2, 3, 4, 6])
+def test_a_tree_outside_the_mapping_runs_in_one_lane(lanes, monkeypatch):
+    """A tree with a field rebound to a copy outside its mapping gives one
+    lane's bytes at every lane count, and no child appears."""
+    w, img = init_weights(CFG, 0), random_image(13)
+    want = one_lane(img, w)
+    w.head_box.out.weights = w.head_box.out.weights.copy()
+    forbid_forks(monkeypatch)
+    assert detection_bytes(detect(img, w, lanes)) == want
     assert cores.standing() == ()
     assert_no_child_left()
+
+
+def test_every_tree_the_library_builds_gets_a_lane_key(tmp_path):
+    """``init_weights``, ``empty_weights`` and the checkpoint loader carve
+    every tensor out of one mapping, so the CLI and the benchmark, which
+    build their trees with them, never run a tree in one lane for want of
+    a key."""
+    save_vital_checkpoint(tmp_path / "w.ckpt", init_weights(CFG, 0))
+    trees = init_weights(CFG, 0), empty_weights(CFG), load_vital_checkpoint(tmp_path / "w.ckpt")
+    assert all(vital._lane_key(w) is not None for w in trees)
 
 
 @FORKS

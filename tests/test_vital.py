@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from gridlander import vital
 from gridlander.errors import ContractViolation, NumericFault
 from gridlander.persistence import vital_tensors
-from gridlander.rng import Rng
 from gridlander.vital import (
     MODALITIES,
     MultimodalImage,
@@ -25,13 +24,9 @@ from gridlander.vital import (
     init_weights,
     stem_forward,
 )
+from helpers import GOLDEN, detection_bytes, golden_frames, random_image
 
 CFG = VitalConfig()
-
-
-def random_image(seed):
-    rng = np.random.default_rng(seed)
-    return MultimodalImage(rng.random((3, 160, 160)).astype(np.float32))
 
 
 def zeroed_weights(seed=0):
@@ -247,30 +242,8 @@ def test_init_weights_magnitudes():
 
 # --- golden outputs ---------------------------------------------------------------
 #
-# SHA-256 of the raw output bytes for init_weights(seed=0) on three seeded
-# frames, the last with its lidar plane zeroed. A kernel rewrite that keeps
-# every dot product on the same float64 GEMM operands must leave them unchanged.
-
-GOLDEN = {
-    "visual": "d66359d61bea8076378f59725bc2fa36710d1cbd6494293e04286af2a0cb853c",
-    "thermal": "db023705df23f7ee90b5151d891a59874eb88a63da708e8ced1050becfad3cba",
-    "lidar": "568ec3f677821767f6f1cc538ca32679033c806122197ef2a0eb56107c4472e0",
-    "encoder": "3adab39a90fa5b7c6f385b3e66544b2c365979a377467e3d30c7424a27d2a7cb",
-    "detect": "62db7e9889e0fa2b1fd68df93d4b07b18321c5a7e90dfe736c4dcbc4b1c9c9d5",
-}
-
-
-def golden_frames():
-    for seed in (1, 2, 3):
-        planes = Rng(seed).uniform(size=(3, 160, 160)).astype(np.float32)
-        if seed == 3:
-            planes[MODALITIES.index("lidar")] = 0.0
-        yield MultimodalImage(planes)
-
-
-def detection_bytes(det):
-    b = det.bbox
-    return np.array([det.objectness, b.x_min, b.y_min, b.x_max, b.y_max], np.float64).tobytes()
+# The digests and their frames (``GOLDEN``, ``golden_frames``) are in helpers.py,
+# which the lane tests share.
 
 
 def test_detector_golden_digests():
