@@ -36,7 +36,7 @@ import functools
 import mmap
 import os
 import signal
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -244,14 +244,10 @@ class _Forked(Lane):
         return self._spans[:, 0].min(), self._spans[:, 1].max()
 
 
-class _Standing:
-    """Lanes forked by process ``owner`` for ``key``: lane 0, the shared
-    copies of the inputs, the children's pids, and ``close``, which kills
-    and reaps them."""
-
-    def __init__(self, key, lane, inputs, pids, close):
-        self.key, self.lane, self.inputs, self.pids, self.close = key, lane, inputs, pids, close
-        self.owner = os.getpid()
+# Lanes forked by process ``owner`` for ``key``: lane 0, the shared copies of
+# the inputs, the children's pids, and ``close``, which kills and reaps them.
+_Standing = NamedTuple("_Standing", [("key", tuple), ("lane", _Forked), ("inputs", list),
+                                     ("pids", list), ("close", Callable), ("owner", int)])
 
 
 _standing = None  # this process's standing lanes, or None
@@ -291,7 +287,7 @@ def _stand(count, rows, layout, body, inputs, key) -> None:
     stack = contextlib.ExitStack()
     links, pids = stack.enter_context(children(count, life))
     lane = _Forked(0, count, rows, arrays, spans, links)
-    _standing = _Standing(key, lane, copies, pids, stack.close)
+    _standing = _Standing(key, lane, copies, pids, stack.close, os.getpid())
 
 
 def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs=(), *, key):

@@ -344,6 +344,8 @@ def multihead_attention(
     the whole context in place. The lane returns its output rows
     ``lane.part(out_rows)``. Each GEMM is one lane's rows or heads of a GEMM
     one lane would run, so the output is the same bytes for every lane count.
+    The scores split by heads, not rows: OpenBLAS keeps the bits of a
+    401x64 score GEMM split by rows only at multiples of 12 rows.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:

@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 import zlib
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ from .vital import (
     VitalConfig,
     VitalWeights,
     empty_weights,
+    named_tensors,
 )
 
 MAGIC = b"GRIDLANDER-CKPT\x00"
@@ -197,49 +198,13 @@ def _read_checkpoint(path, kind: str, build):
 
 # --- weight trees <-> tensor dicts ---------------------------------------------
 
-# checkpoint names of the weight-tree fields whose own names differ
-_TENSOR_NAMES = {
-    "stems": "stem",
-    "blocks": "block",
-    "final_conv": "final",
-    "attention": "attn",
-    "head_objectness": "head.objectness",
-    "head_box": "head.box",
-}
-
-
-def _named_tensors(node, prefix: str = "") -> dict[str, np.ndarray]:
-    """Every array under ``node`` keyed by its checkpoint name, in checkpoint
-    order: dataclass fields in declaration order (renamed by
-    ``_TENSOR_NAMES``) joined by dots, list items as ``{prefix}{i}`` and dict
-    items as ``{prefix}.{key}``. Other leaves hold no tensor.
-    The arrays are the tree's own, so writing into them fills the tree."""
-    if isinstance(node, np.ndarray):
-        return {prefix: node}
-    if isinstance(node, list):
-        items = [(f"{prefix}{i}", item) for i, item in enumerate(node)]
-    elif isinstance(node, dict):
-        items = [(f"{prefix}.{key}", item) for key, item in node.items()]
-    elif is_dataclass(node):
-        dot = f"{prefix}." if prefix else ""
-        items = [
-            (dot + _TENSOR_NAMES.get(f.name, f.name), getattr(node, f.name))
-            for f in fields(node)
-        ]
-    else:
-        return {}
-    out: dict[str, np.ndarray] = {}
-    for name, item in items:
-        out.update(_named_tensors(item, name))
-    return out
-
 
 def qnetwork_tensors(net: QNetwork) -> dict[str, np.ndarray]:
-    return _named_tensors(net.layers, "layer")
+    return named_tensors(net.layers, "layer")
 
 
 def vital_tensors(weights: VitalWeights) -> dict[str, np.ndarray]:
-    return _named_tensors(weights)
+    return named_tensors(weights)
 
 
 def save_vital_checkpoint(path, weights: VitalWeights) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -118,7 +118,7 @@ class Detection:
 
 
 # The weight dataclasses' field order is the checkpoint's tensor order
-# (persistence.vital_tensors walks them), and the golden digest pins it.
+# (``named_tensors`` walks them), and the golden digest pins it.
 @dataclass
 class ConvParams:
     kernels: np.ndarray  # (Cout, Cin, k, k)
@@ -475,7 +475,9 @@ def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), *, key):
     """``cores.run`` in at most one lane per attention head, over the
     detector's shared layout: the stem outputs, the stem block output a
     two-lane frame hands from lane 0 to lane 1 (``_TWO_LANE_STEMS``), and
-    the encoder's residual stream, Q, K, V and attention context."""
+    the encoder's residual stream, Q, K, V and attention context. The cap
+    leaves each lane at least 66 of the 401 token rows: OpenBLAS changes
+    the last bits of a GEMM split 1-3 rows from either end."""
     t, d = cfg.token_count, cfg.token_dim
     layout = {
         "stems": (_stems_shape(cfg), np.float32),
@@ -551,17 +553,52 @@ def _frame(planes: np.ndarray, weights: VitalWeights, lane) -> np.ndarray:
     return encoder_forward(tokens, weights, class_only=True, lane=lane)
 
 
-def _tensors(node) -> list:
-    """Every array of the weight tree under ``node``, in field order."""
+# checkpoint names of the weight-tree fields whose own names differ
+_TENSOR_NAMES = {
+    "stems": "stem",
+    "blocks": "block",
+    "final_conv": "final",
+    "attention": "attn",
+    "head_objectness": "head.objectness",
+    "head_box": "head.box",
+}
+
+
+@functools.cache
+def _named_fields(cls) -> tuple:
+    """``cls``'s fields as (attribute, checkpoint name) pairs, in declaration
+    order; none where ``cls`` is no dataclass."""
+    names = [f.name for f in fields(cls)] if is_dataclass(cls) else []
+    return tuple((name, _TENSOR_NAMES.get(name, name)) for name in names)
+
+
+def named_tensors(node, prefix: str = "") -> dict[str, np.ndarray]:
+    """Every array under ``node`` keyed by its checkpoint name, in checkpoint
+    order: dataclass fields in declaration order (renamed by
+    ``_TENSOR_NAMES``) joined by dots, list items as ``{prefix}{i}`` and dict
+    items as ``{prefix}.{key}``. Other leaves hold no tensor. The arrays are
+    the tree's own, so writing into them fills the tree. The one walk of a
+    weight tree: both checkpoints and ``_lane_key``, every frame, read it."""
+    out = {}
+    _add_tensors(node, prefix, out)
+    return out
+
+
+def _add_tensors(node, name: str, out: dict) -> None:
+    """``named_tensors`` of ``node`` under ``name``, added to ``out``. Not a
+    closure: a recursive one holds ``out``, and its arrays, in a cycle."""
     if isinstance(node, np.ndarray):
-        return [node]
-    if isinstance(node, dict):
-        node = node.values()
-    elif is_dataclass(node):
-        node = vars(node).values()
-    elif not isinstance(node, list):
-        return []
-    return [t for item in node for t in _tensors(item)]
+        out[name] = node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            _add_tensors(item, f"{name}{i}", out)
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            _add_tensors(item, f"{name}.{key}", out)
+    else:
+        dot = f"{name}." if name else ""
+        for attr, field_name in _named_fields(type(node)):
+            _add_tensors(getattr(node, attr), dot + field_name, out)
 
 
 def _lane_key(weights: VitalWeights):
@@ -576,7 +613,7 @@ def _lane_key(weights: VitalWeights):
     identity. None where some tensor lies outside the one mapping
     ``_assemble`` carved, since a lane would hold a private copy of it:
     ``detect`` then runs the tree in one lane."""
-    tensors = _tensors(weights)
+    tensors = list(named_tensors(weights).values())
     shared = cores.mapping(tensors)
     if shared is None:
         return None

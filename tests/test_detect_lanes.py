@@ -20,7 +20,12 @@ from gridlander import cores, vital
 from gridlander.cli import main
 from gridlander.errors import NumericFault
 from gridlander.nncore import _needs_shift, layernorm
-from gridlander.persistence import load_vital_checkpoint, save_vital_checkpoint, write_ppm
+from gridlander.persistence import (
+    load_vital_checkpoint,
+    save_vital_checkpoint,
+    vital_tensors,
+    write_ppm,
+)
 from gridlander.vital import (
     MODALITIES,
     VitalConfig,
@@ -463,10 +468,16 @@ def test_every_tree_the_library_builds_gets_a_lane_key(tmp_path):
     """``init_weights``, ``empty_weights`` and the checkpoint loader carve
     every tensor out of one mapping, so the CLI and the benchmark, which
     build their trees with them, never run a tree in one lane for want of
-    a key."""
+    a key. The key and the checkpoint read a tree through one walk
+    (``vital.named_tensors``): the key's tensors are the checkpoint's own
+    objects, in checkpoint order."""
     save_vital_checkpoint(tmp_path / "w.ckpt", init_weights(CFG, 0))
     trees = init_weights(CFG, 0), empty_weights(CFG), load_vital_checkpoint(tmp_path / "w.ckpt")
     assert all(vital._lane_key(w) is not None for w in trees)
+    for w in trees:
+        keyed, named = vital._lane_key(w)[-1], list(vital_tensors(w).values())
+        assert len(keyed) == len(named) == 246
+        assert all(a is b for a, b in zip(keyed, named))
 
 
 @FORKS
