@@ -205,11 +205,6 @@ class Lane:
     def barrier(self) -> None:
         """Wait until every lane has reached this point."""
 
-    def span(self, lo, hi):
-        """The smallest ``lo`` and largest ``hi`` over every lane (NaN once any
-        lane's is), after a barrier."""
-        return lo, hi
-
 
 SERIAL = Lane()
 
@@ -218,9 +213,9 @@ class _Forked(Lane):
     """Lane ``index`` of ``count`` forked lanes: ``links`` are lane 0's ends of
     each child's link, or a child's one end of its link to lane 0."""
 
-    def __init__(self, index, count, rows, arrays, spans, links):
+    def __init__(self, index, count, rows, arrays, links):
         self.index, self.count, self.rows = index, count, rows
-        self._arrays, self._spans, self._links = arrays, spans, links
+        self._arrays, self._links = arrays, links
 
     def array(self, name, shape, dtype=np.float64):
         flat = self._arrays[name]
@@ -237,11 +232,6 @@ class _Forked(Lane):
         else:
             _send(self._links)
             _await(self._links[0], 0)
-
-    def span(self, lo, hi):
-        self._spans[self.index] = lo, hi
-        self.barrier()
-        return self._spans[:, 0].min(), self._spans[:, 1].max()
 
 
 # Lanes forked by process ``owner`` for ``key``: lane 0, the shared copies of
@@ -276,17 +266,17 @@ def _stand(count, rows, layout, body, inputs, key) -> None:
     standing lanes. Each waits for a go byte, runs a frame, and waits again."""
     global _standing
     carved = shared([((int(np.prod(shape)),), dtype) for shape, dtype in layout.values()]
-                    + [((count, 2), np.float64)] + [(a.shape, a.dtype) for a in inputs])
-    arrays, spans, copies = dict(zip(layout, carved)), carved[len(layout)], carved[len(layout) + 1:]
+                    + [(a.shape, a.dtype) for a in inputs])
+    arrays, copies = dict(zip(layout, carved)), carved[len(layout):]
 
     def life(j, fd):
-        lane = _Forked(j, count, rows, arrays, spans, [fd])
+        lane = _Forked(j, count, rows, arrays, [fd])
         while os.read(fd, 1):  # a go byte: lane 0 has copied the frame's inputs in
             body(lane, *copies)
 
     stack = contextlib.ExitStack()
     links, pids = stack.enter_context(children(count, life))
-    lane = _Forked(0, count, rows, arrays, spans, links)
+    lane = _Forked(0, count, rows, arrays, links)
     _standing = _Standing(key, lane, copies, pids, stack.close, os.getpid())
 
 
@@ -311,10 +301,9 @@ def run(count: int, rows: int, layout: dict, body: Callable[..., object], inputs
     A child that ends early raises ``ChildProcessError`` here at the next
     barrier. ``body`` must reach the same barriers in every lane, and a lane
     must write no shared element that another lane reads before the next
-    barrier. A lane reads the inputs only before its first barrier. After
-    its last barrier a lane may still be reading when lane 0 starts the next
-    frame, so there it may read only arrays that no lane writes before a
-    frame's first barrier, and not the inputs."""
+    barrier. After its last barrier a lane may still be reading when lane 0
+    starts the next frame, so there it may read only arrays that no lane
+    writes before a frame's first barrier, and not the inputs."""
     if count < 2:
         return body(SERIAL, *inputs)
     key = (count, rows, layout, [(a.shape, a.dtype) for a in inputs], key)

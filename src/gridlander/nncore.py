@@ -338,14 +338,15 @@ def multihead_attention(
     With a ``lane`` of several (``cores.run``), ``tokens`` holds this lane's
     rows ``lane.part(t)`` of the t = ``lane.rows`` rows. The lane projects
     those rows of Q, K and V into the arrays every lane shares; after a
-    barrier it runs its heads ``lane.part(heads)`` over every row; the lanes
-    pool their score min and max, so the shift is decided over every head as
-    in one lane, and that barrier (or a third, when the shift reruns) leaves
-    the whole context in place. The lane returns its output rows
-    ``lane.part(out_rows)``. Each GEMM is one lane's rows or heads of a GEMM
-    one lane would run, so the output is the same bytes for every lane count.
-    The scores split by heads, not rows: OpenBLAS keeps the bits of a
-    401x64 score GEMM split by rows only at multiples of 12 rows.
+    barrier it runs its heads ``lane.part(heads)`` over every row, writes
+    their score min and max into its row of the shared array "spans", and
+    after a second barrier reads every lane's, so the shift is decided over
+    every head as in one lane; that barrier (or a third, when the shift
+    reruns) leaves the whole context in place. The lane returns its output
+    rows ``lane.part(out_rows)``. Each GEMM is one lane's rows or heads of a
+    GEMM one lane would run, so the output is the same bytes for every lane
+    count. The scores split by heads, not rows: OpenBLAS keeps the bits of
+    a 401x64 score GEMM split by rows only at multiples of 12 rows.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -385,7 +386,10 @@ def multihead_attention(
                 np.matmul(_softmax_rows_inplace(scores[:n], shift), v[:, cols], out=ctx[:, cols])
         return lo, hi
 
-    if _needs_shift(*lane.span(*run_heads(False))):
+    spans = lane.array("spans", (lane.count, 2))
+    spans[lane.index] = run_heads(False)
+    lane.barrier()  # every lane's score min and max is in place
+    if _needs_shift(spans[:, 0].min(), spans[:, 1].max()):
         run_heads(True)
         lane.barrier()  # every head's shifted context is in place
     del q, k, v, buf

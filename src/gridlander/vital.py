@@ -447,14 +447,11 @@ def encoder_forward(
             _check_finite("encoder", x)
             rows = 1
         normed = layernorm(x[own], layer.ln_attn.gamma, layer.ln_attn.beta)
+        att_out = multihead_attention(normed, layer.attention, cfg.heads,
+                                      return_weights=collect_attention, out_rows=rows, lane=lane)
         if collect_attention:
-            att_out, att_w = multihead_attention(
-                normed, layer.attention, cfg.heads, return_weights=True, out_rows=rows, lane=lane
-            )
+            att_out, att_w = att_out
             maps.append(att_w)
-        else:
-            att_out = multihead_attention(normed, layer.attention, cfg.heads, out_rows=rows,
-                                          lane=lane)
         del normed
         y = x[lane.part(rows or t)]
         y += att_out
@@ -474,77 +471,50 @@ def encoder_forward(
 def run_lanes(lanes: int, cfg: VitalConfig, body, inputs=(), *, key):
     """``cores.run`` in at most one lane per attention head, over the
     detector's shared layout: the stem outputs, the stem block output a
-    two-lane frame hands from lane 0 to lane 1 (``_TWO_LANE_STEMS``), and
-    the encoder's residual stream, Q, K, V and attention context. The cap
-    leaves each lane at least 66 of the 401 token rows: OpenBLAS changes
-    the last bits of a GEMM split 1-3 rows from either end."""
-    t, d = cfg.token_count, cfg.token_dim
+    two-lane frame hands from lane 0 to lane 1 (``_frame``), the encoder's
+    residual stream, Q, K, V and attention context, and each lane's score
+    min and max (``multihead_attention``). The cap leaves each lane at
+    least 66 of the 401 token rows: OpenBLAS changes the last bits of a
+    GEMM split 1-3 rows from either end."""
+    t, d, count = cfg.token_count, cfg.token_dim, min(lanes, cfg.heads)
     layout = {
         "stems": (_stems_shape(cfg), np.float32),
         "handover": (_block_input(cfg, 1), np.float32),
         **{name: ((t, d), np.float64) for name in ("x", "q", "k", "v", "ctx")},
+        "spans": ((count, 2), np.float64),
     }
-    return cores.run(min(lanes, cfg.heads), t, layout, body, inputs, key=key)
+    return cores.run(count, t, layout, body, inputs, key=key)
 
 
 def _stems_shape(cfg: VitalConfig) -> tuple:
     return (len(MODALITIES), cfg.embed_dim, cfg.patch_side, cfg.patch_side)
 
 
-# A two-lane frame's stem phase, in rounds with a barrier after each: per
-# round, the pieces lane 0 and lane 1 run, in order. A piece (modality,
-# start, stop) runs that stem's blocks start to stop - 1, then its final
-# conv where stop is None (``stem_forward``). A piece that stops early leaves
-# its output to the piece that goes on from it: in lane memory when that
-# piece runs in the same lane, else in the shared "handover" array. Whole
-# stems split by ``lane.part(3)`` would leave lane 1 one stem to lane 0's two.
-# Here each lane runs a block 0 in the first round; in the second, lane 0 runs
-# a whole stem and lane 1 two stems' later blocks and final convs, about one
-# block longer.
-_TWO_LANE_STEMS = (
-    ((("thermal", 0, 1),), (("lidar", 0, 1),)),
-    ((("visual", 0, None),), (("lidar", 1, None), ("thermal", 1, None))),
-)
-
-
-def _stem_rounds(lane) -> list:
-    """This lane's stem pieces in each round of a frame's stem phase: the
-    two rounds of ``_TWO_LANE_STEMS`` with two lanes, else one round of whole
-    stems, ``lane.part(3)`` of them."""
-    if lane.count == 2:
-        return [pieces[lane.index] for pieces in _TWO_LANE_STEMS]
-    return [[(m, 0, None) for m in MODALITIES[lane.part(len(MODALITIES))]]]
-
-
 def _frame(planes: np.ndarray, weights: VitalWeights, lane) -> np.ndarray:
     """The float32 class-token row of the encoder's output for the image
-    ``planes``, as ``lane`` of its lanes: each lane computes its stem pieces
-    round by round (``_stem_rounds``), then every lane checks all three
-    stems and assembles the tokens, so every lane raises the same first
-    fault, in one lane's order."""
+    ``planes``, as ``lane`` of its lanes. Two lanes run the stems in two
+    rounds, lane 0 handing thermal's block 0 output to lane 1, so that lane
+    1 runs about one block more than lane 0, not one stem fewer as whole
+    stems (``lane.part(3)``, as every other lane count runs them) would.
+    Then every lane checks all three stems and assembles the tokens, so
+    every lane raises the same first fault, in one lane's order."""
     cfg = weights.config
     stems = lane.array("stems", _stems_shape(cfg), np.float32)
-    rounds = _stem_rounds(lane)
-    mine = {(m, start) for pieces in rounds for m, start, _ in pieces}
-    held = {}  # modality -> its output so far, where this lane goes on with it
-    for r, pieces in enumerate(rounds):
-        if r:
-            lane.barrier()  # every hand-over is in place
-        for m, start, stop in pieces:
-            i = MODALITIES.index(m)
-            if start == 0:
-                x = planes[i][None, :, :]
-            elif m in held:
-                x = held.pop(m)
-            else:
-                x = lane.array("handover", _block_input(cfg, start), np.float32)
-            out = stem_forward(weights.stems[m], x, cfg, start, stop)
-            if stop is None:
-                stems[i] = out
-            elif (m, stop) in mine:
-                held[m] = out
-            else:
-                lane.array("handover", out.shape, np.float32)[...] = out
+    if lane.count == 2:
+        visual, thermal, lidar = (weights.stems[m] for m in MODALITIES)
+        handover = lane.array("handover", _block_input(cfg, 1), np.float32)
+        if lane.index == 0:
+            handover[...] = stem_forward(thermal, planes[1][None], cfg, 0, 1)
+            lane.barrier()  # thermal's block 0 is in place
+            stems[0] = stem_forward(visual, planes[0][None], cfg)
+        else:
+            x = stem_forward(lidar, planes[2][None], cfg, 0, 1)
+            lane.barrier()
+            stems[2] = stem_forward(lidar, x, cfg, 1)
+            stems[1] = stem_forward(thermal, handover, cfg, 1)
+    else:
+        for i in range(len(MODALITIES))[lane.part(len(MODALITIES))]:
+            stems[i] = stem_forward(weights.stems[MODALITIES[i]], planes[i][None], cfg)
     lane.barrier()  # every stem is in place
     for m, s in zip(MODALITIES, stems):
         _check_finite(f"stem[{m}]", s)
@@ -654,7 +624,7 @@ def detect(img: MultimodalImage, weights: VitalWeights, lanes: Optional[int] = N
     The frame runs in ``lanes`` processes, by default ``cores.cpu_share()``,
     at most one per attention head: with two, this process computes the
     visual stem and thermal's first block while lane 1 computes the lidar
-    stem and thermal's later blocks (``_TWO_LANE_STEMS``), and each encoder
+    stem and thermal's later blocks (``_frame``), and each encoder
     layer splits its rows and heads between them (``encoder_forward``). The
     lanes stand for the next frame with the same tree and lane count
     (``_lane_key``); they read the tree in the shared mapping ``_assemble``

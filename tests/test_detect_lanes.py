@@ -100,8 +100,12 @@ def test_a_stem_run_in_two_ranges_gives_the_whole_stems_bytes(modality):
 ])
 def test_each_lane_runs_its_stem_pieces(lanes, ran, tmp_path, monkeypatch):
     """A stub that records each ``stem_forward`` call shows which lane (known
-    by its pid) ran which blocks of which stem, in order."""
+    by its pid) ran which blocks of which stem, in order. Another records
+    each barrier: every lane of a frame reaches the same count, and a
+    two-lane frame one more than a three-lane frame, the barrier between
+    its two stem rounds."""
     w, img, record, forward = init_weights(CFG, 0), random_image(11), tmp_path / "calls", vital.stem_forward
+    barriers, barrier = tmp_path / "barriers", cores._Forked.barrier
     want = detection_bytes(detect(img, w, 1))
 
     def recording(stem, x, cfg, start=0, stop=None):
@@ -110,7 +114,13 @@ def test_each_lane_runs_its_stem_pieces(lanes, ran, tmp_path, monkeypatch):
             f.write(f"{os.getpid()} {modality} {start} {stop}\n")
         return forward(stem, x, cfg, start, stop)
 
+    def counting(lane):
+        with open(barriers, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        barrier(lane)
+
     monkeypatch.setattr(vital, "stem_forward", recording)
+    monkeypatch.setattr(cores._Forked, "barrier", counting)
     assert detection_bytes(detect(img, w, lanes)) == want
     pids = (os.getpid(), *cores.standing())
     got = {j: [] for j in range(lanes)}
@@ -118,6 +128,9 @@ def test_each_lane_runs_its_stem_pieces(lanes, ran, tmp_path, monkeypatch):
         pid, modality, start, stop = line.split()
         got[pids.index(int(pid))].append((modality, int(start), None if stop == "None" else int(stop)))
     assert got == ran
+    reached = [int(pid) for pid in barriers.read_text().split()]
+    # 6 encoder layers of 2, the class-only layer's 1, the output's 1 and the stems'
+    assert [reached.count(pid) for pid in pids] == [{2: 16, 3: 15}[lanes]] * lanes
     assert_no_child_left()
 
 
